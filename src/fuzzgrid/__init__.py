@@ -5,6 +5,8 @@ from .datagen import (
     CLUSTERED,
     UNIFORM,
     DataSpec,
+    Dataset,
+    Example,
     Rng,
     make_plane_dataset,
     read_dataset,
@@ -31,7 +33,6 @@ from .inference import (
     save_model,
 )
 from .learning import (
-    Example,
     NeuroFuzzyConfig,
     cluster_learn,
     conclusion_gradient,
@@ -43,6 +44,7 @@ from .membership import (
     TRIANGULAR,
     MembershipFunction,
     Partition,
+    activations,
     best_set,
     make_uniform_partition,
     membership,
@@ -54,6 +56,8 @@ __all__ = [
     "CLUSTERED",
     "UNIFORM",
     "DataSpec",
+    "Dataset",
+    "Example",
     "Rng",
     "make_plane_dataset",
     "read_dataset",
@@ -74,7 +78,6 @@ __all__ = [
     "load_model",
     "rule_diff",
     "save_model",
-    "Example",
     "NeuroFuzzyConfig",
     "cluster_learn",
     "conclusion_gradient",
@@ -84,6 +87,7 @@ __all__ = [
     "TRIANGULAR",
     "MembershipFunction",
     "Partition",
+    "activations",
     "best_set",
     "make_uniform_partition",
     "membership",

@@ -4,17 +4,20 @@ Everything downstream of a seed is bit-exact: the generator is SplitMix64
 with a documented draw order, so a (seed, spec) pair identifies a dataset
 byte for byte across platforms. Noise is multiplicative and uniform,
 each stored coordinate perturbed independently to v * (1 + u) with u in
-[-p, p].
+[-p, p]. Datasets are columnar (Dataset: an (N, d) input array and an
+(N,) output array), generated, validated, read and written whole.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-from .learning import Example
+import numpy as np
 
 MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 UNIFORM = "uniform"
 CLUSTERED = "clustered"
@@ -37,35 +40,133 @@ class Rng:
     t <- (t ^ (t >> 27)) * 0x94D049BB133111EB
     out <- t ^ (t >> 31)
 
-    All arithmetic mod 2^64. Uniform doubles take the top 53 bits.
+    All arithmetic mod 2^64. Uniform doubles take the top 53 bits. The
+    seed is masked to its low 64 bits (seed & MASK64), so -1 and 2**64 - 1
+    name the same stream.
+
+    The generator is counter-based: draw k (from 1) is the mix of
+    seed + k * 0x9E3779B97F4A7C15, so a block of draws is one uint64
+    array expression and `drawn`, the number of draws consumed so far,
+    is the whole position of the stream.
     """
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        self.seed = seed & MASK64
+        self.drawn = 0
+
+    def next_u64s(self, count: int) -> np.ndarray:
+        """The next count outputs as a uint64 array."""
+        k = np.arange(self.drawn + 1, self.drawn + count + 1, dtype=np.uint64)
+        self.drawn += count
+        t = np.uint64(self.seed) + k * np.uint64(GAMMA)
+        t = (t ^ (t >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        t = (t ^ (t >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return t ^ (t >> np.uint64(31))
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next count uniform doubles in [0, 1)."""
+        return (self.next_u64s(count) >> np.uint64(11)) * 2.0**-53
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
-        t = self.state
-        t = ((t ^ (t >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        t = ((t ^ (t >> 27)) * 0x94D049BB133111EB) & MASK64
-        return (t ^ (t >> 31)) & MASK64
+        return int(self.next_u64s(1)[0])
 
     def uniform(self) -> float:
         """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return float(self.uniforms(1)[0])
 
     def gauss(self) -> float:
         """Standard normal via Box-Muller, first component only.
 
-        Consumes exactly two uniform draws. u1 = 0 (possible since
-        uniform() can return 0) is nudged to the smallest positive draw
-        so the log stays finite.
+        Consumes exactly two uniform draws.
         """
-        u1 = self.uniform()
-        u2 = self.uniform()
-        if u1 == 0.0:
-            u1 = 2.0**-53
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        u1, u2 = self.uniforms(2).tolist()
+        return _box_muller(u1, u2)
+
+
+def _box_muller(u1: float, u2: float) -> float:
+    """First Box-Muller component of two uniform draws.
+
+    u1 = 0 (possible since uniform draws can be 0) is nudged to the
+    smallest positive draw so the log stays finite. Scalar math, not
+    numpy: np.log and math.log can differ in the last bit, and datasets
+    are bit-exact.
+    """
+    if u1 == 0.0:
+        u1 = 2.0**-53
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+@dataclass(frozen=True)
+class Example:
+    """One observation: input vector x and measured output z."""
+
+    x: tuple
+    z: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.x) or not math.isfinite(self.z):
+            raise ValueError("examples must contain finite values only")
+
+
+class Dataset:
+    """Examples as columns: inputs X of shape (N, d) and outputs z of shape (N,).
+
+    X is a C-contiguous float64 array, z a float64 array. The constructor
+    is the one place a dataset is validated: shapes, and finiteness of
+    every value. Iterating, indexing and == behave like a list of Example
+    (iteration and indexing yield Example(x, z) with x a tuple of floats).
+    Instances are immutable by convention; nothing mutates them after
+    construction.
+    """
+
+    __slots__ = ("X", "z")
+
+    def __init__(self, X, z):
+        X = np.ascontiguousarray(X, dtype=float)
+        z = np.ascontiguousarray(z, dtype=float)
+        if X.ndim != 2 or z.ndim != 1 or len(X) != len(z):
+            raise ValueError(
+                f"need inputs of shape (N, d) and outputs of shape (N,), "
+                f"got {X.shape} and {z.shape}"
+            )
+        bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(z))
+        if bad.any():
+            raise ValueError(
+                "examples must contain finite values only "
+                f"(example {int(np.argmax(bad))} does not)"
+            )
+        self.X = X
+        self.z = z
+
+    @classmethod
+    def of(cls, data) -> Dataset:
+        """data itself when it is a Dataset, else a Dataset of its Examples."""
+        if isinstance(data, cls):
+            return data
+        data = list(data)
+        return cls([ex.x for ex in data], [ex.z for ex in data])
+
+    @property
+    def dim(self) -> int:
+        return self.X.shape[1]
+
+    def __len__(self):
+        return len(self.z)
+
+    def __getitem__(self, i) -> Example:
+        return Example(tuple(self.X[i].tolist()), float(self.z[i]))
+
+    def __iter__(self):
+        for x, z in zip(self.X.tolist(), self.z.tolist()):
+            yield Example(tuple(x), z)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return np.array_equal(self.X, other.X) and np.array_equal(self.z, other.z)
+
+    def __repr__(self):
+        return f"Dataset(N={len(self)}, d={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -79,6 +180,8 @@ class DataSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"example count must be an integer, got n={self.n!r}")
         if self.n < 1:
             raise ValueError(f"need at least one example, got n={self.n}")
         if self.distribution not in DISTRIBUTIONS:
@@ -90,8 +193,8 @@ class DataSpec:
                 raise ValueError(f"invalid domain range ({lo}, {hi})")
 
 
-def _sample_inputs(spec: DataSpec, rng: Rng) -> list:
-    """Input vectors in documented draw order.
+def _sample_inputs(spec: DataSpec, rng: Rng) -> np.ndarray:
+    """Input vectors in documented draw order, as an (n, d) array.
 
     Uniform: one draw per coordinate, example-major. Clustered: per
     example one selector draw; below 0.5 the point is uniform (one draw
@@ -99,34 +202,44 @@ def _sample_inputs(spec: DataSpec, rng: Rng) -> list:
     coordinate costs a gaussian (two draws), scaled to 8% of the range
     and clamped into the domain.
     """
-    points = []
+    n, d = spec.n, len(spec.domain)
+    lo = np.array([lo for lo, _ in spec.domain])
+    hi = np.array([hi for _, hi in spec.domain])
+    span = hi - lo
     if spec.distribution == UNIFORM:
-        for _ in range(spec.n):
-            points.append(
-                tuple(lo + rng.uniform() * (hi - lo) for lo, hi in spec.domain)
-            )
-        return points
-    for _ in range(spec.n):
-        if rng.uniform() < 0.5:
-            points.append(
-                tuple(lo + rng.uniform() * (hi - lo) for lo, hi in spec.domain)
-            )
-            continue
-        frac = BLOB_FRACTIONS[0] if rng.uniform() < 0.5 else BLOB_FRACTIONS[1]
-        point = []
-        for lo, hi in spec.domain:
-            center = lo + frac * (hi - lo)
-            value = center + rng.gauss() * BLOB_SIGMA_FRACTION * (hi - lo)
-            point.append(min(max(value, lo), hi))
-        points.append(tuple(point))
-    return points
+        return lo + rng.uniforms(n * d).reshape(n, d) * span
+    # Draw enough for every example to be a blob, then scan the selectors
+    # for where each example starts; the stream resumes after the last.
+    first = rng.drawn
+    u = rng.uniforms(n * (2 + 2 * d))
+    step = np.where(u < 0.5, 1 + d, 2 + 2 * d).tolist()
+    starts = []
+    pos = 0
+    for _ in range(n):
+        starts.append(pos)
+        pos += step[pos]
+    rng.drawn = first + pos
+    starts = np.array(starts)
+    blob = u[starts] >= 0.5
+    X = np.empty((n, d))
+    X[~blob] = lo + u[starts[~blob, None] + 1 + np.arange(d)] * span
+    at = starts[blob, None] + 2 + 2 * np.arange(d)
+    g = [
+        _box_muller(u1, u2)
+        for u1, u2 in zip(u[at].ravel().tolist(), u[at + 1].ravel().tolist())
+    ]
+    frac = np.where(u[starts[blob] + 1] < 0.5, BLOB_FRACTIONS[0], BLOB_FRACTIONS[1])
+    center = lo + frac[:, None] * span
+    value = center + np.reshape(g, at.shape) * BLOB_SIGMA_FRACTION * span
+    X[blob] = np.clip(value, lo, hi)
+    return X
 
 
 def sample_inputs(spec: DataSpec) -> list:
-    return _sample_inputs(spec, Rng(spec.seed))
+    return [tuple(x) for x in _sample_inputs(spec, Rng(spec.seed)).tolist()]
 
 
-def make_plane_dataset(spec: DataSpec) -> list:
+def make_plane_dataset(spec: DataSpec) -> Dataset:
     """Examples of z = x + y under spec, noisy if requested.
 
     The clean inputs produce z first; only then are the stored x, y, z
@@ -139,29 +252,31 @@ def make_plane_dataset(spec: DataSpec) -> list:
             f"plane data needs exactly 2 inputs, domain has {len(spec.domain)}"
         )
     rng = Rng(spec.seed)
-    points = _sample_inputs(spec, rng)
+    X = _sample_inputs(spec, rng)
+    z = X[:, 0] + X[:, 1]
     p = spec.noise_level
-    data = []
-    for x, y in points:
-        z = x + y
-        if p > 0:
-            x = x * (1.0 + (2.0 * rng.uniform() - 1.0) * p)
-            y = y * (1.0 + (2.0 * rng.uniform() - 1.0) * p)
-            z = z * (1.0 + (2.0 * rng.uniform() - 1.0) * p)
-        data.append(Example((x, y), z))
-    return data
+    if p > 0:
+        factors = 1.0 + (2.0 * rng.uniforms(3 * spec.n).reshape(spec.n, 3) - 1.0) * p
+        X *= factors[:, :2]
+        z *= factors[:, 2]
+    return Dataset(X, z)
 
 
 def write_dataset(path, data) -> None:
     """Dataset CSV: header x,y,z then one row per example, 17 digits."""
+    data = Dataset.of(data)
+    if data.dim != 2:
+        raise ValueError(f"dataset files hold 2-input examples, got {data.dim} inputs")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,z\n")
-        for ex in data:
-            fh.write(f"{ex.x[0]:.17g},{ex.x[1]:.17g},{ex.z:.17g}\n")
+        fh.writelines(
+            f"{x:.17g},{y:.17g},{z:.17g}\n"
+            for (x, y), z in zip(data.X.tolist(), data.z.tolist())
+        )
 
 
-def read_dataset(path) -> list:
-    data = []
+def read_dataset(path) -> Dataset:
+    inputs, outputs = [], []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "x,y,z":
@@ -174,7 +289,8 @@ def read_dataset(path) -> list:
             if len(parts) != 3:
                 raise ValueError(f"line {line_no}: expected 3 fields, got {len(parts)}")
             x, y, z = (float(v) for v in parts)
-            data.append(Example((x, y), z))
-    if not data:
+            inputs.append((x, y))
+            outputs.append(z)
+    if not outputs:
         raise ValueError("dataset file contains no examples")
-    return data
+    return Dataset(inputs, outputs)

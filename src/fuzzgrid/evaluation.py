@@ -43,8 +43,8 @@ def grid_values(model: FuzzyModel, resolution: int) -> np.ndarray:
     """
     xs, ys = grid_axes(model, resolution)
     px, py = model.input_partitions
-    mx = np.stack([px.degrees(v) for v in xs])
-    my = np.stack([py.degrees(v) for v in ys])
+    mx = px.degrees(xs)
+    my = py.degrees(ys)
     mask = model.filled_mask()
     conc = np.where(mask, model.conclusions, 0.0)
     num = np.einsum("ai,bj,ij->ab", mx, my, conc)

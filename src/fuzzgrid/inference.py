@@ -13,11 +13,12 @@ the things the benchmark measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .membership import Partition
+from .membership import Partition, activations
 
 
 class NoActiveRuleError(Exception):
@@ -87,15 +88,14 @@ class FuzzyModel:
 
         Coordinates are clamped into each partition's range first, so
         out-of-range queries resolve to the nearest edge region instead
-        of fading to nothing.
+        of fading to nothing. Non-finite coordinates raise ValueError.
         """
-        if len(x) != self.dim:
-            raise ValueError(f"expected {self.dim} inputs, got {len(x)}")
-        p0 = self.input_partitions[0]
-        w = p0.degrees(p0.clamp(x[0]))
-        for p, xi in zip(self.input_partitions[1:], x[1:]):
-            w = np.multiply.outer(w, p.degrees(p.clamp(xi)))
-        return w
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or len(x) != self.dim:
+            raise ValueError(f"expected {self.dim} inputs, got {x.size}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"inputs must be finite, got {tuple(x.tolist())}")
+        return activations(self.input_partitions, x[None, :]).reshape(self.shape)
 
 
 def activation(model: FuzzyModel, x):
@@ -129,17 +129,16 @@ def rule_diff(a: FuzzyModel, b: FuzzyModel) -> dict:
     if a.shape != b.shape:
         raise ValueError(f"rule grid shapes differ: {a.shape} vs {b.shape}")
     fa, fb = a.filled_mask(), b.filled_mask()
-    counts = {"unchanged": 0, "changed": 0, "only_a": 0, "only_b": 0}
-    for idx in np.ndindex(a.shape):
-        if fa[idx] and fb[idx]:
-            sa = a.output_partition.best(float(a.conclusions[idx]))
-            sb = b.output_partition.best(float(b.conclusions[idx]))
-            counts["changed" if sa != sb else "unchanged"] += 1
-        elif fa[idx]:
-            counts["only_a"] += 1
-        elif fb[idx]:
-            counts["only_b"] += 1
-    return counts
+    both = fa & fb
+    sa = a.output_partition.best(a.conclusions[both])
+    sb = b.output_partition.best(b.conclusions[both])
+    changed = int(np.count_nonzero(sa != sb))
+    return {
+        "unchanged": int(np.count_nonzero(both)) - changed,
+        "changed": changed,
+        "only_a": int(np.count_nonzero(fa & ~fb)),
+        "only_b": int(np.count_nonzero(fb & ~fa)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +180,17 @@ def save_model(model: FuzzyModel, path) -> None:
 
 
 def load_model(path) -> FuzzyModel:
+    """Read a model written by save_model.
+
+    Malformed files raise ValueError: a rule line names a cell outside
+    the grid, names a cell an earlier line already filled, or carries a
+    conclusion or degree that is not finite.
+    """
     inputs = []
     output = None
     body = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -200,14 +205,14 @@ def load_model(path) -> FuzzyModel:
                 else:
                     output = p
             else:
-                body.append(line)
+                body.append((line_no, line))
     if not inputs or output is None:
         raise ValueError("model file lacks partition headers")
     shape = tuple(p.n for p in inputs)
     conclusions = np.full(shape, np.nan)
     degrees = np.full(shape, np.nan)
     d = len(inputs)
-    for line in body:
+    for line_no, line in body:
         parts = line.split()
         if len(parts) != d + 2:
             raise ValueError(f"bad rule line: {line!r}")
@@ -215,6 +220,13 @@ def load_model(path) -> FuzzyModel:
         for i, p in zip(idx, inputs):
             if not 0 <= i < p.n:
                 raise ValueError(f"cell index {idx} out of range for grid {shape}")
-        conclusions[idx] = float(parts[d])
-        degrees[idx] = float(parts[d + 1])
+        conclusion, degree = float(parts[d]), float(parts[d + 1])
+        if not (math.isfinite(conclusion) and math.isfinite(degree)):
+            raise ValueError(
+                f"line {line_no}: conclusion and degree must be finite: {line!r}"
+            )
+        if not np.isnan(conclusions[idx]):
+            raise ValueError(f"line {line_no}: cell {idx} appears twice")
+        conclusions[idx] = conclusion
+        degrees[idx] = degree
     return FuzzyModel(inputs, output, conclusions, degrees)

@@ -10,30 +10,18 @@ functions stay fixed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import Dataset, Example
 from .inference import FuzzyModel, NoActiveRuleError
-from .membership import GAUSSIAN, TRIANGULAR, Partition
+from .membership import GAUSSIAN, TRIANGULAR, Partition, activations
 
 EMPTY_WEIGHT_THRESHOLD = 1e-12
 
 INIT_ZERO = "zero"
 INIT_CLUSTER = "cluster"
-
-
-@dataclass(frozen=True)
-class Example:
-    """One observation: input vector x and measured output z."""
-
-    x: tuple
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in self.x) or not math.isfinite(self.z):
-            raise ValueError("examples must contain finite values only")
 
 
 @dataclass(frozen=True)
@@ -53,9 +41,17 @@ class NeuroFuzzyConfig:
             raise ValueError(f"unknown init mode {self.init!r}")
 
 
-def _check_data(data):
-    if not data:
+def _check_data(data, inputs) -> Dataset:
+    """data as a Dataset, checked to be non-empty and to have one input
+    per partition."""
+    if not len(data):
         raise ValueError("cannot learn from an empty dataset")
+    data = Dataset.of(data)
+    if data.dim != len(inputs):
+        raise ValueError(
+            f"examples have {data.dim} inputs but there are {len(inputs)} input partitions"
+        )
+    return data
 
 
 def _check_kind(partitions, kind, what):
@@ -73,24 +69,25 @@ def wm_learn(data, inputs, output: Partition) -> FuzzyModel:
     highest-degree example wins (earliest example on exact ties) and its
     output is quantized to the center of its best output set.
     """
-    _check_data(data)
+    data = _check_data(data, inputs)
     _check_kind(list(inputs) + [output], TRIANGULAR, "wm_learn")
-    best = {}  # cell -> (degree, arrival order, output set index)
-    for order, ex in enumerate(data):
-        idx = tuple(p.best(v) for p, v in zip(inputs, ex.x))
-        degree = 1.0
-        for p, v, i in zip(inputs, ex.x, idx):
-            degree *= float(p.degrees(v)[i])
-        out_idx = output.best(ex.z)
-        cur = best.get(idx)
-        if cur is None or degree > cur[0]:
-            best[idx] = (degree, order, out_idx)
     shape = tuple(p.n for p in inputs)
+    rows = np.arange(len(data))
+    idx = []
+    degree = np.ones(len(data))
+    for p, x in zip(inputs, data.X.T):
+        i = p.best(x)
+        degree = degree * p.degrees(x)[rows, i]
+        idx.append(i)
+    cells = np.ravel_multi_index(idx, shape)
+    # Sort by cell, then by falling degree; lexsort is stable, so the
+    # earliest example leads each run of equal degrees.
+    order = np.lexsort((-degree, cells))
+    winners = order[np.diff(cells[order], prepend=-1) != 0]
     conclusions = np.full(shape, np.nan)
     degrees = np.full(shape, np.nan)
-    for idx, (degree, _, out_idx) in best.items():
-        conclusions[idx] = output.centers[out_idx]
-        degrees[idx] = degree
+    conclusions.flat[cells[winners]] = output.centers[output.best(data.z[winners])]
+    degrees.flat[cells[winners]] = degree[winners]
     return FuzzyModel(inputs, output, conclusions, degrees)
 
 
@@ -103,15 +100,13 @@ def cluster_learn(data, inputs, output: Partition) -> FuzzyModel:
     weight never exceeds a small threshold are left empty rather than
     divided by almost-zero.
     """
-    _check_data(data)
+    data = _check_data(data, inputs)
     kinds = {p.kind for p in inputs}
     if len(kinds) != 1:
         raise ValueError("input partitions must all share one membership kind")
     d = len(inputs)
-    mats = [
-        np.stack([p.degrees(ex.x[i]) for ex in data]) for i, p in enumerate(inputs)
-    ]
-    zs = np.array([ex.z for ex in data])
+    mats = [p.degrees(x) for p, x in zip(inputs, data.X.T)]
+    zs = data.z
     letters = "abcdefghij"[:d]
     lhs = ",".join("k" + c for c in letters)
     den = np.einsum(f"{lhs}->{letters}", *mats)
@@ -156,7 +151,7 @@ def neurofuzzy_learn(data, inputs, output: Partition, cfg: NeuroFuzzyConfig) -> 
     The per-example scheduling is deliberate; it is what makes large
     learning rates chase individual noisy examples.
     """
-    _check_data(data)
+    data = _check_data(data, inputs)
     _check_kind(inputs, GAUSSIAN, "neurofuzzy_learn")
     if cfg.init == INIT_CLUSTER:
         init = cluster_learn(data, inputs, output)
@@ -168,20 +163,7 @@ def neurofuzzy_learn(data, inputs, output: Partition, cfg: NeuroFuzzyConfig) -> 
     flat_idx = np.flatnonzero(mask.ravel())
     c = conclusions.ravel()[flat_idx]
 
-    # Weights never change across epochs, so normalize them once.
-    weights = []
-    targets = []
-    for ex in data:
-        w = inputs[0].degrees(inputs[0].clamp(ex.x[0]))
-        for p, v in zip(inputs[1:], ex.x[1:]):
-            w = np.multiply.outer(w, p.degrees(p.clamp(v)))
-        w = w.ravel()[flat_idx]
-        s = w.sum()
-        if s <= 0.0:
-            continue
-        weights.append(w / s)
-        targets.append(ex.z)
-
+    weights, targets = _tuning_weights(data, inputs, flat_idx)
     for _ in range(cfg.epochs):
         for w, z in zip(weights, targets):
             f = float(w @ c)
@@ -191,3 +173,25 @@ def neurofuzzy_learn(data, inputs, output: Partition, cfg: NeuroFuzzyConfig) -> 
     out[flat_idx] = c
     out = out.reshape(conclusions.shape)
     return FuzzyModel(inputs, output, out, np.where(mask, 1.0, np.nan))
+
+
+def _tuning_weights(data: Dataset, inputs, flat_idx):
+    """Normalized clamped activations of the filled cells, one row per example.
+
+    Weights never change across epochs, so they are built once. Examples
+    whose filled cells all have zero weight are dropped. Returns a
+    C-contiguous (kept examples, len(flat_idx)) array and the kept
+    targets as floats.
+    """
+    W = activations(inputs, data.X)
+    if len(flat_idx) < W.shape[1]:
+        # The fancy index gives a strided copy; its row sums differ from
+        # sums over contiguous rows in the last bit.
+        W = np.ascontiguousarray(W[:, flat_idx])
+    s = W.sum(axis=1)
+    targets = data.z
+    keep = s > 0.0
+    if not keep.all():
+        W, s, targets = W[keep], s[keep], targets[keep]
+    W /= s[:, None]
+    return W, targets.tolist()

@@ -76,9 +76,14 @@ class Partition:
             MembershipFunction(kind, float(c), self.width) for c in centers
         )
 
-    def degrees(self, x: float) -> np.ndarray:
-        """Vector of membership degrees of x in every set, no clamping."""
-        d = np.abs(x - self.centers) / self.width
+    def degrees(self, x) -> np.ndarray:
+        """Membership degrees of x in every set, no clamping.
+
+        A scalar x gives shape (n,); an array of shape (N,) gives (N, n),
+        row k bit-identical to degrees(x[k]).
+        """
+        x = np.asarray(x, dtype=float)
+        d = np.abs(x[..., None] - self.centers) / self.width
         if self.kind == TRIANGULAR:
             return np.maximum(0.0, 1.0 - d)
         return np.exp(-d * d)
@@ -86,13 +91,19 @@ class Partition:
     def clamp(self, x: float) -> float:
         return min(max(x, self.lo), self.hi)
 
-    def best(self, x: float) -> int:
+    def best(self, x):
         """Index of the maximum-degree set for x, clamped into range.
 
+        A scalar x gives an int, an array of shape (N,) an index array.
         Ties break toward the lower index (np.argmax takes the first
         maximum), which keeps results reproducible at exact midpoints.
+        Non-finite values raise ValueError: they have no nearest set.
         """
-        return int(np.argmax(self.degrees(self.clamp(x))))
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError(f"cannot place a non-finite value in a set: {x}")
+        idx = np.argmax(self.degrees(np.clip(x, self.lo, self.hi)), axis=-1)
+        return int(idx) if idx.ndim == 0 else idx
 
     def same_axis(self, other: "Partition") -> bool:
         """True when both partitions cover the same range."""
@@ -117,6 +128,23 @@ class Partition:
             f"Partition({self.lo}, {self.hi}, {self.n}, {self.kind!r}, "
             f"width_factor={self.width_factor})"
         )
+
+
+def activations(partitions, X) -> np.ndarray:
+    """Product-t-norm weight of every grid cell for each row of X.
+
+    X has shape (N, d), one column per partition; each coordinate is
+    clamped into its partition's range first, so out-of-range inputs
+    resolve to the nearest edge region instead of fading to nothing.
+    Returns a C-contiguous (N, cells) array, cells in C order of the grid
+    (p1.n, ..., pd.n). Each weight is the left-to-right product of its
+    degrees, bit-identical to chained np.multiply.outer on one row.
+    """
+    W = None
+    for i, p in enumerate(partitions):
+        deg = p.degrees(np.clip(X[:, i], p.lo, p.hi))
+        W = deg if W is None else np.einsum("ni,nj->nij", W, deg).reshape(len(deg), -1)
+    return W
 
 
 def make_uniform_partition(lo, hi, n, kind, width_factor=DEFAULT_WIDTH_FACTOR) -> Partition:

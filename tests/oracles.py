@@ -92,3 +92,66 @@ class RefSplitMix:
 
     def real(self):
         return (self.step() >> 11) / float(1 << 53)
+
+
+def plane_dataset(n, seed, noise_level=0.0, clustered=False,
+                  domain=((1.0, 11.0), (1.0, 11.0))):
+    """Scalar rebuild of the documented draw order: [(x, y), z] pairs.
+
+    One draw per example and coordinate, example-major; clustered
+    examples first draw a selector, and blob examples one more draw for
+    the blob and two per coordinate for a Box-Muller gaussian (math.log,
+    math.cos, math.sqrt). Noise draws (x, y, z per example) follow every
+    input draw.
+    """
+    ref = RefSplitMix(seed)
+    points = []
+    for _ in range(n):
+        point = []
+        if clustered and ref.real() >= 0.5:
+            frac = 0.3 if ref.real() < 0.5 else 0.7
+            for lo, hi in domain:
+                u1 = ref.real()
+                u2 = ref.real()
+                if u1 == 0.0:
+                    u1 = 2.0**-53
+                g = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+                v = lo + frac * (hi - lo) + g * 0.08 * (hi - lo)
+                point.append(min(max(v, lo), hi))
+        else:
+            for lo, hi in domain:
+                point.append(lo + ref.real() * (hi - lo))
+        points.append(point)
+    out = []
+    for x, y in points:
+        z = x + y
+        if noise_level > 0:
+            x = x * (1.0 + (2.0 * ref.real() - 1.0) * noise_level)
+            y = y * (1.0 + (2.0 * ref.real() - 1.0) * noise_level)
+            z = z * (1.0 + (2.0 * ref.real() - 1.0) * noise_level)
+        out.append(((x, y), z))
+    return out
+
+
+def tuning_weights(data, inputs, flat_idx):
+    """The neuro-fuzzy learner's weight build, one example at a time.
+
+    Clamped product-t-norm weights of the cells in flat_idx, normalized
+    per example; examples whose weights sum to zero are skipped. Unlike
+    the oracles above this is the original per-example code, scalar
+    Partition.degrees included, kept as the reference the batched build
+    must match bit for bit.
+    """
+    weights = []
+    targets = []
+    for ex in data:
+        w = inputs[0].degrees(inputs[0].clamp(ex.x[0]))
+        for p, v in zip(inputs[1:], ex.x[1:]):
+            w = np.multiply.outer(w, p.degrees(p.clamp(v)))
+        w = w.ravel()[flat_idx]
+        s = w.sum()
+        if s <= 0.0:
+            continue
+        weights.append(w / s)
+        targets.append(ex.z)
+    return weights, targets

@@ -2,10 +2,14 @@ import math
 
 import pytest
 
+import numpy as np
+
 from fuzzgrid import (
     CLUSTERED,
     UNIFORM,
     DataSpec,
+    Dataset,
+    Example,
     Rng,
     make_plane_dataset,
     read_dataset,
@@ -13,7 +17,7 @@ from fuzzgrid import (
     write_dataset,
 )
 
-from oracles import RefSplitMix
+from oracles import RefSplitMix, plane_dataset
 
 BLOB_CENTERS = ((4.0, 4.0), (8.0, 8.0))
 BLOB_SIGMA = 0.8  # 8% of the default 10-unit range
@@ -29,6 +33,17 @@ def test_splitmix_known_outputs():
     assert [rng.next_u64() for _ in range(3)] == expected
     ref = RefSplitMix(0)
     assert [ref.step() for _ in range(3)] == expected
+
+
+def test_vectorized_draws_match_reference():
+    # Seeds are masked to 64 bits, so -1 and 2**64 - 1 are one stream.
+    for seed in (0, 1, 2**64 - 1, -1):
+        rng = Rng(seed)
+        ref = RefSplitMix(seed)
+        expected = [ref.step() for _ in range(10_001)]
+        assert rng.next_u64s(10_000).tolist() == expected[:-1]
+        assert rng.next_u64() == expected[-1]  # the block left the stream after it
+    assert Rng(-1).next_u64s(100).tolist() == Rng(2**64 - 1).next_u64s(100).tolist()
 
 
 def test_uniform_is_top_53_bits():
@@ -141,6 +156,23 @@ def test_noise_draws_follow_all_input_draws():
         assert ex.z == ex_z
 
 
+def test_plane_dataset_matches_scalar_rebuild():
+    # Clustered sets are large so that the rebuild's math.log, which
+    # differs from np.log in the last bit on some inputs, is tested.
+    domain = ((-3.0, 2.0), (10.0, 40.0))
+    for seed in (0, 3, 2**64 - 1):
+        for distribution, n in ((UNIFORM, 300), (CLUSTERED, 3000)):
+            for p in (0.0, 0.1):
+                spec = DataSpec(
+                    n=n, domain=domain, distribution=distribution,
+                    noise_level=p, seed=seed,
+                )
+                expected = plane_dataset(
+                    n, seed, p, clustered=distribution == CLUSTERED, domain=domain
+                )
+                assert [(ex.x, ex.z) for ex in make_plane_dataset(spec)] == expected
+
+
 def test_same_seed_same_dataset():
     spec = DataSpec(n=50, noise_level=0.3, distribution=CLUSTERED, seed=21)
     assert make_plane_dataset(spec) == make_plane_dataset(spec)
@@ -152,12 +184,41 @@ def test_plane_needs_two_inputs():
         make_plane_dataset(spec)
 
 
+def test_dataset_is_columnar_and_list_like():
+    data = make_plane_dataset(DataSpec(n=20, noise_level=0.1, seed=4))
+    assert data.X.shape == (20, 2) and data.X.flags.c_contiguous
+    assert data.z.shape == (20,)
+    examples = list(data)
+    assert len(data) == 20
+    assert data[3] == examples[3] == Example(tuple(data.X[3].tolist()), float(data.z[3]))
+    assert Dataset.of(examples) == data
+    assert Dataset.of(data) is data
+
+
+def test_dataset_validates_once_at_construction(tmp_path):
+    with pytest.raises(ValueError, match="finite"):
+        Dataset([[1.0, 2.0], [3.0, float("nan")]], [3.0, 7.0])
+    with pytest.raises(ValueError, match="finite"):
+        Dataset([[1.0, 2.0]], [float("inf")])
+    with pytest.raises(ValueError, match="shape"):
+        Dataset([1.0, 2.0], [3.0, 4.0])
+    with pytest.raises(ValueError, match="shape"):
+        Dataset([[1.0, 2.0]], [3.0, 4.0])
+    with pytest.raises(ValueError):
+        Dataset.of([Example((1.0, 2.0), 3.0), Example((1.0, 2.0, 3.0), 6.0)])
+    with pytest.raises(ValueError, match="2-input"):
+        write_dataset(tmp_path / "d.csv", Dataset(np.ones((2, 3)), np.ones(2)))
+
+
 # ---------------------------------------------------------------------------
 # spec validation
 
 def test_dataspec_validation():
     with pytest.raises(ValueError, match="at least one example"):
         DataSpec(n=0)
+    for n in (2.5, True, "10"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DataSpec(n=n)
     with pytest.raises(ValueError, match="unknown distribution"):
         DataSpec(n=10, distribution="normal")
     with pytest.raises(ValueError, match="noise level must be non-negative"):

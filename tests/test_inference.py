@@ -86,6 +86,15 @@ def test_infer_convexity():
         assert min(active) - 1e-12 <= f <= max(active) + 1e-12
 
 
+def test_infer_rejects_non_finite_inputs():
+    m = linear_model()
+    for x in ((float("nan"), 5.0), (5.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            infer(m, x)
+        with pytest.raises(ValueError, match="finite"):
+            m.weight_grid(x)
+
+
 def test_cluster_model_permutation_invariant():
     rng = np.random.default_rng(21)
     data = [
@@ -204,6 +213,28 @@ def test_load_rejects_malformed(tmp_path):
     )
     with pytest.raises(ValueError, match="out of range"):
         load_model(bad)
+
+
+HEADER = (
+    "input triangular 0 10 3 0.5\n"
+    "input triangular 0 10 3 0.5\n"
+    "output triangular 0 20 13 0.5\n"
+)
+
+
+def test_load_rejects_duplicate_cells(tmp_path):
+    bad = tmp_path / "dup.model"
+    bad.write_text(HEADER + "0 0 1.0 1.0\n1 1 2.0 1.0\n0 0 3.0 1.0\n")
+    with pytest.raises(ValueError, match=r"line 6: cell \(0, 0\) appears twice"):
+        load_model(bad)
+
+
+def test_load_rejects_non_finite_values(tmp_path):
+    bad = tmp_path / "nan.model"
+    for rule in ("1 1 nan 1.0", "1 1 2.0 inf", "1 1 -inf 1.0"):
+        bad.write_text(HEADER + "0 0 1.0 1.0\n" + rule + "\n")
+        with pytest.raises(ValueError, match="line 5: conclusion and degree must be finite"):
+            load_model(bad)
 
 
 def test_model_shape_validation():

@@ -7,6 +7,7 @@ from fuzzgrid import (
     GAUSSIAN,
     TRIANGULAR,
     DataSpec,
+    Dataset,
     Example,
     FuzzyModel,
     NeuroFuzzyConfig,
@@ -22,7 +23,9 @@ from fuzzgrid import (
     wm_learn,
 )
 
-from oracles import cluster_grid, wm_grid
+from fuzzgrid.learning import _tuning_weights
+
+from oracles import cluster_grid, tuning_weights, wm_grid
 
 
 def tri_parts(n=3, lo=0.0, hi=10.0, out_lo=0.0, out_hi=20.0, out_n=13):
@@ -88,6 +91,30 @@ def test_neurofuzzy_requires_gaussian():
     inputs, out = tri_parts()
     with pytest.raises(ValueError, match="gaussian"):
         neurofuzzy_learn([Example((5.0, 5.0), 10.0)], inputs, out, NeuroFuzzyConfig())
+
+
+WRONG_DIMENSIONS = ((5.0, 5.0, 5.0), (5.0,))
+
+
+def test_wm_rejects_wrong_dimension():
+    inputs, out = tri_parts()
+    for x in WRONG_DIMENSIONS:
+        with pytest.raises(ValueError, match="2 input partitions"):
+            wm_learn([Example(x, 10.0)], inputs, out)
+
+
+def test_cluster_rejects_wrong_dimension():
+    inputs, out = tri_parts()
+    for x in WRONG_DIMENSIONS:
+        with pytest.raises(ValueError, match="2 input partitions"):
+            cluster_learn([Example(x, 10.0)], inputs, out)
+
+
+def test_neurofuzzy_rejects_wrong_dimension():
+    inputs, out = gauss_parts()
+    for x in WRONG_DIMENSIONS:
+        with pytest.raises(ValueError, match="2 input partitions"):
+            neurofuzzy_learn([Example(x, 10.0)], inputs, out, NeuroFuzzyConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +343,43 @@ def test_neurofuzzy_single_example_full_correction():
     cfg = NeuroFuzzyConfig(alpha=1.0, epochs=1, init="zero")
     m = neurofuzzy_learn(data, [px, py], pout, cfg)
     assert m.conclusions[0, 0] == 7.0
+
+
+def test_tuning_weights_match_per_example_reference():
+    out = Partition(2, 22, 13, TRIANGULAR)
+    wide = [Partition(1, 11, 9, GAUSSIAN), Partition(1, 11, 9, GAUSSIAN)]
+    # Narrow sets over data in one half of the domain: the cluster init
+    # leaves the other half empty, so only some cells are tuned.
+    narrow = [Partition(1, 11, 9, GAUSSIAN, 0.2), Partition(1, 11, 9, GAUSSIAN, 0.2)]
+    half = make_plane_dataset(DataSpec(n=200, domain=((1.0, 6.0), (1.0, 11.0)), seed=2))
+    # Narrower still around corner data: the far example has zero weight
+    # on every filled cell and is dropped.
+    narrowest = [Partition(1, 11, 9, GAUSSIAN, 0.05), Partition(1, 11, 9, GAUSSIAN, 0.05)]
+    corner = [
+        Example((9.8, 10.1), 19.9),
+        Example((10.4, 9.9), 20.3),
+        Example((10.9, 10.6), 21.5),
+        Example((11.0, 11.0), 22.0),
+        Example((-90.0, -90.0), 3.0),
+    ]
+    three = [Partition(0, 1, 4, GAUSSIAN, 0.7) for _ in range(3)]
+    rng = np.random.default_rng(43)
+    cases = [
+        (make_plane_dataset(DataSpec(n=300, noise_level=0.3, seed=5)), wide, 81, 300),
+        (half, narrow, 45, 200),
+        (corner, narrowest, 1, 4),
+        ([Example(tuple(x), float(sum(x))) for x in rng.uniform(-0.2, 1.2, (50, 3))],
+         three, 64, 50),
+    ]
+    for data, inputs, cells, rows in cases:
+        filled = cluster_learn(data, inputs, out).filled_mask()
+        flat_idx = np.flatnonzero(filled.ravel())
+        weights, targets = _tuning_weights(Dataset.of(data), inputs, flat_idx)
+        ref_weights, ref_targets = tuning_weights(data, inputs, flat_idx)
+        assert weights.shape == (rows, cells)
+        assert weights.flags.c_contiguous
+        assert np.array_equal(weights, np.array(ref_weights))
+        assert targets == ref_targets
 
 
 def test_neurofuzzy_training_error_decreases():

@@ -106,3 +106,25 @@ def test_degrees_vector_matches_scalar():
             vec = p.degrees(x)
             for i, f in enumerate(p.functions):
                 assert vec[i] == membership(f, x)
+
+
+def test_batched_degrees_match_scalar_rows():
+    rng = np.random.default_rng(13)
+    xs = np.concatenate([rng.uniform(-5, 20, size=300), [1.0, 11.0, 6.0, -40.0, 90.0]])
+    for kind in (TRIANGULAR, GAUSSIAN):
+        for wf in (0.05, 0.5, 1.5):
+            p = Partition(1, 11, 9, kind, wf)
+            batched = p.degrees(xs)
+            assert batched.shape == (len(xs), 9)
+            rows = np.stack([p.degrees(float(x)) for x in xs])
+            assert np.array_equal(batched, rows)
+            assert p.best(xs).tolist() == [p.best(float(x)) for x in xs]
+
+
+def test_best_rejects_non_finite():
+    p = Partition(0, 10, 3, TRIANGULAR)
+    for x in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            p.best(x)
+    with pytest.raises(ValueError, match="non-finite"):
+        p.best(np.array([1.0, float("nan")]))
