@@ -25,8 +25,6 @@ from .evaluation import (
 from .inference import (
     FuzzyModel,
     NoActiveRuleError,
-    Rule,
-    activation,
     infer,
     load_model,
     rule_diff,
@@ -42,12 +40,8 @@ from .learning import (
 from .membership import (
     GAUSSIAN,
     TRIANGULAR,
-    MembershipFunction,
     Partition,
     activations,
-    best_set,
-    make_uniform_partition,
-    membership,
 )
 
 __version__ = "0.1.0"
@@ -72,8 +66,6 @@ __all__ = [
     "write_diff_report",
     "FuzzyModel",
     "NoActiveRuleError",
-    "Rule",
-    "activation",
     "infer",
     "load_model",
     "rule_diff",
@@ -85,10 +77,6 @@ __all__ = [
     "wm_learn",
     "GAUSSIAN",
     "TRIANGULAR",
-    "MembershipFunction",
     "Partition",
     "activations",
-    "best_set",
-    "make_uniform_partition",
-    "membership",
 ]

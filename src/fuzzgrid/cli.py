@@ -39,13 +39,13 @@ from .evaluation import (
 from .inference import FuzzyModel, load_model, save_model
 from .learning import (
     INIT_CLUSTER,
-    INIT_ZERO,
+    INITS,
     NeuroFuzzyConfig,
     cluster_learn,
     neurofuzzy_learn,
     wm_learn,
 )
-from .membership import DEFAULT_WIDTH_FACTOR, GAUSSIAN, TRIANGULAR, Partition
+from .membership import DEFAULT_WIDTH_FACTOR, GAUSSIAN, KINDS, TRIANGULAR, Partition
 
 SIMPLIFIED = "simplified"
 CLUSTER_TRI = "cluster-tri"
@@ -131,18 +131,20 @@ def run_pair(cfg: ExperimentConfig, seed: int):
     clean inputs; only the stored coordinates of the noisy one are
     perturbed.
     """
-    base = DataSpec(
+    clean = train_model(cfg, make_plane_dataset(_data_spec(cfg, seed, 0.0)))
+    noisy = train_model(cfg, make_plane_dataset(_data_spec(cfg, seed, cfg.noise_level)))
+    return clean, noisy, difference_surface(clean, noisy, cfg.resolution)
+
+
+def _data_spec(cfg: ExperimentConfig, seed: int, noise_level: float) -> DataSpec:
+    """The dataset recipe of cfg at one seed and noise level."""
+    return DataSpec(
         n=cfg.n_examples,
         domain=cfg.domain,
         distribution=cfg.distribution,
-        noise_level=0.0,
+        noise_level=noise_level,
         seed=seed,
     )
-    clean = train_model(cfg, make_plane_dataset(base))
-    noisy = train_model(
-        cfg, make_plane_dataset(replace(base, noise_level=cfg.noise_level))
-    )
-    return clean, noisy, difference_surface(clean, noisy, cfg.resolution)
 
 
 def run_cell(cfg: ExperimentConfig, trials: int) -> dict:
@@ -255,30 +257,67 @@ def render_heatmap(report: DiffReport) -> str:
     differences.
     """
     grid = np.abs(report.diff_grid)
-    finite = grid[~np.isnan(grid)]
+    gaps = np.isnan(grid)
+    finite = grid[~gaps]
     if finite.size:
         edges = np.quantile(finite, np.arange(1, 10) / 10.0)
     else:
         edges = np.zeros(9)
-    lines = []
-    res = report.resolution
-    for j in range(res - 1, -1, -1):
-        chars = []
-        for i in range(res):
-            v = grid[i, j]
-            if np.isnan(v):
-                chars.append(GAP_CHAR)
-            else:
-                chars.append(HEAT_RAMP[int(np.searchsorted(edges, v, side="left"))])
-        lines.append("".join(chars))
-    return "\n".join(lines)
+    chars = np.array(list(HEAT_RAMP))[np.searchsorted(edges, grid, side="left")]
+    chars[gaps] = GAP_CHAR
+    # grid rows index x, so its transpose, bottom row first, is the picture
+    return "\n".join("".join(row) for row in chars.T[::-1])
 
 
 # ---------------------------------------------------------------------------
-# configuration file support
+# experiment parameters: flags and config keys
+
+# Every parameter a subcommand can take, by config key and flag name (the
+# key with dashes, --out-sets for out_sets): the ExperimentConfig field it
+# sets, its type or tuple of choices, and its help text. mf only checks the
+# algorithm's membership kind and trials counts sweep seeds, so neither
+# sets a field.
+_PARAMS = {
+    "n": ("n_examples", int, "examples per dataset"),
+    "noise": ("noise_level", float, "noise level, e.g. 0.10"),
+    "distribution": ("distribution", DISTRIBUTIONS, "input sampling"),
+    "seed": ("seed", int, "base seed"),
+    "lo": ("domain", float, "input range low end"),
+    "hi": ("domain", float, "input range high end"),
+    "sets": ("input_sets", int, "input sets per variable"),
+    "out_sets": ("output_sets", int, "output sets"),
+    "mf": (None, KINDS, "membership kind (must match the algorithm)"),
+    "width_factor": ("width_factor", float, "gaussian sigma as a multiple of set spacing"),
+    "alpha": ("alpha", float, "neurofuzzy learning rate"),
+    "epochs": ("epochs", int, "neurofuzzy learning epochs"),
+    "init": ("init", INITS, "neurofuzzy conclusion initialization"),
+    "out_lo": ("out_range", float, "output range low end"),
+    "out_hi": ("out_range", float, "output range high end"),
+    "resolution": ("resolution", int, "grid points per axis"),
+    "trials": (None, int, "seeds per cell"),
+}
+
+# The parameters that set an ExperimentConfig field of their own.
+_FIELDS = {
+    name: field
+    for name, (field, _, _) in _PARAMS.items()
+    if field not in (None, "domain", "out_range")
+}
+
+# A parameter's value when neither its flag nor the config file sets it.
+_DEFAULTS = {name: getattr(ExperimentConfig, field) for name, field in _FIELDS.items()}
+_DEFAULTS["lo"], _DEFAULTS["hi"] = DEFAULT_DOMAIN[0]
+_DEFAULTS["out_lo"], _DEFAULTS["out_hi"] = DEFAULT_OUT_RANGE
+_DEFAULTS.update(mf=None, trials=10)  # mf None: the algorithm's own kind
+
 
 def load_config(path) -> dict:
-    """key=value lines, # comments, blank lines ignored."""
+    """key=value lines, # comments, blank lines ignored.
+
+    Keys are parameter names, values are parsed by their type. An unknown
+    key, a value that does not parse or a value outside its choices raises
+    ValueError naming the line.
+    """
     values = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -287,28 +326,46 @@ def load_config(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"config line {line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in _PARAMS:
+                raise ValueError(f"config line {line_no}: unknown key {key!r}")
+            kind = _PARAMS[key][1]
+            choices = kind if isinstance(kind, tuple) else None
+            try:
+                if choices and value not in choices:
+                    raise ValueError
+                values[key] = value if choices else kind(value)
+            except ValueError:
+                expected = f"one of {', '.join(choices)}" if choices else kind.__name__
+                raise ValueError(
+                    f"config line {line_no}: {key} must be {expected}, got {value!r}"
+                ) from None
     return values
 
 
-class Settings:
-    """Resolves each option as: flag if given, else config file, else default."""
-
-    def __init__(self, args):
-        self.args = vars(args)
-        self.config = load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, name, default, cast=None):
-        flag = self.args.get(name)
+def _resolve(args) -> dict:
+    """Every parameter's value: for the ones the subcommand takes, its flag
+    if given, else its config-file line, else its default."""
+    values = dict(args.defaults)
+    config = load_config(args.config) if args.config else {}
+    for name in args.params:
+        flag = getattr(args, name)
         if flag is not None:
-            return flag
-        if name in self.config:
-            raw = self.config[name]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
-            return cast(raw) if cast else raw
-        return default
+            values[name] = flag
+        elif name in config:
+            values[name] = config[name]
+    return values
+
+
+def _experiment(algorithm: str, values: dict) -> ExperimentConfig:
+    """The experiment cell that resolved parameter values describe."""
+    axis = (values["lo"], values["hi"])
+    return ExperimentConfig(
+        algorithm,
+        domain=(axis, axis),
+        out_range=(values["out_lo"], values["out_hi"]),
+        **{field: values[name] for name, field in _FIELDS.items()},
+    )
 
 
 def _die(message: str) -> int:
@@ -324,22 +381,9 @@ def _note(message: str) -> None:
 # subcommands
 
 def cmd_gen(args) -> int:
-    s = Settings(args)
-    try:
-        spec = DataSpec(
-            n=s.get("n", 100, int),
-            domain=(
-                (s.get("lo", 1.0, float), s.get("hi", 11.0, float)),
-                (s.get("lo", 1.0, float), s.get("hi", 11.0, float)),
-            ),
-            distribution=s.get("distribution", UNIFORM),
-            noise_level=s.get("noise", 0.0, float),
-            seed=s.get("seed", 0, int),
-        )
-    except ValueError as e:
-        return _die(str(e))
-    data = make_plane_dataset(spec)
-    write_dataset(args.out, data)
+    cfg = _experiment(SIMPLIFIED, _resolve(args))
+    spec = _data_spec(cfg, cfg.seed, cfg.noise_level)
+    write_dataset(args.out, make_plane_dataset(spec))
     _note(
         f"wrote {spec.n} examples to {args.out} "
         f"(seed={spec.seed}, noise={spec.noise_level}, {spec.distribution})"
@@ -348,33 +392,16 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    s = Settings(args)
+    values = _resolve(args)
     algo = args.algo
-    kind = s.get("mf", ALGO_KIND[algo])
-    if kind != ALGO_KIND[algo]:
+    if values["mf"] not in (None, ALGO_KIND[algo]):
         return _die(f"{algo} requires {ALGO_KIND[algo]} membership functions")
     try:
         data = read_dataset(args.dataset)
     except (OSError, ValueError) as e:
         return _die(f"cannot read dataset {args.dataset}: {e}")
-    cfg = ExperimentConfig(
-        algorithm=algo,
-        input_sets=s.get("sets", 9, int),
-        output_sets=s.get("out_sets", 13, int),
-        alpha=s.get("alpha", 0.1, float),
-        epochs=s.get("epochs", 50, int),
-        init=s.get("init", INIT_CLUSTER),
-        width_factor=s.get("width_factor", DEFAULT_WIDTH_FACTOR, float),
-        domain=(
-            (s.get("lo", 1.0, float), s.get("hi", 11.0, float)),
-            (s.get("lo", 1.0, float), s.get("hi", 11.0, float)),
-        ),
-        out_range=(s.get("out_lo", 2.0, float), s.get("out_hi", 22.0, float)),
-    )
-    try:
-        model = train_model(cfg, data)
-    except ValueError as e:
-        return _die(str(e))
+    cfg = _experiment(algo, values)
+    model = train_model(cfg, data)
     save_model(model, args.model)
     _note(
         f"trained {algo} {cfg.input_sets}x{cfg.input_sets} model: "
@@ -384,17 +411,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    s = Settings(args)
+    resolution = _resolve(args)["resolution"]
     try:
         clean = load_model(args.clean_model)
         noisy = load_model(args.noisy_model)
     except (OSError, ValueError) as e:
         return _die(f"cannot load model: {e}")
-    resolution = s.get("resolution", 50, int)
-    try:
-        report = difference_surface(clean, noisy, resolution)
-    except ValueError as e:
-        return _die(str(e))
+    report = difference_surface(clean, noisy, resolution)
     if args.out:
         meta = {
             "clean_model": args.clean_model,
@@ -418,15 +441,12 @@ def cmd_diff(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    s = Settings(args)
+    resolution = _resolve(args)["resolution"]
     try:
         model = load_model(args.model)
     except (OSError, ValueError) as e:
         return _die(f"cannot load model: {e}")
-    try:
-        result = model_error(model, plane_truth, s.get("resolution", 50, int))
-    except ValueError as e:
-        return _die(str(e))
+    result = model_error(model, plane_truth, resolution)
     print(f"rmse={_fmt(result['rmse']) or 'NaN'}")
     print(f"max_abs={_fmt(result['max_abs']) or 'NaN'}")
     print(f"gap_fraction={_fmt(result['gap_fraction'])}")
@@ -434,20 +454,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    s = Settings(args)
-    base = ExperimentConfig(
-        algorithm=SIMPLIFIED,
-        n_examples=s.get("n", 100, int),
-        distribution=s.get("distribution", UNIFORM),
-        seed=s.get("seed", 0, int),
-        resolution=s.get("resolution", 50, int),
-        width_factor=s.get("width_factor", DEFAULT_WIDTH_FACTOR, float),
-    )
-    trials = s.get("trials", 10, int)
-    try:
-        cells = preset_cells(args.preset, base, args.algo)
-    except ValueError as e:
-        return _die(str(e))
+    values = _resolve(args)
+    cells = preset_cells(args.preset, _experiment(SIMPLIFIED, values), args.algo)
+    trials = values["trials"]
     _note(f"running {args.preset}: {len(cells)} cells x {trials} trials")
     rows = summary_rows(args.preset, cells, trials)
     text = "\n".join(rows) + "\n"
@@ -460,6 +469,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _add_params(parser, *names, **defaults) -> None:
+    """Give parser the flags of the parameters names, in order.
+
+    defaults override _DEFAULTS for this subcommand; --help shows them.
+    """
+    defaults = {**_DEFAULTS, **defaults}
+    for name in names:
+        _, kind, text = _PARAMS[name]
+        if defaults[name] is not None:
+            text = f"{text} (default {defaults[name]})"
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, help=text, **typed)
+    parser.set_defaults(params=names, defaults=defaults)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzgrid",
@@ -467,67 +491,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key=value file supplying defaults")
+        p.set_defaults(func=func)
+        return p
 
-    p_gen = sub.add_parser("gen", help="generate a plane dataset CSV")
-    add_common(p_gen)
-    p_gen.add_argument("--n", type=int, help="number of examples (default 100)")
-    p_gen.add_argument("--noise", type=float, help="noise level, e.g. 0.10 (default 0)")
-    p_gen.add_argument("--distribution", choices=DISTRIBUTIONS)
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--lo", type=float, help="input range low end (default 1)")
-    p_gen.add_argument("--hi", type=float, help="input range high end (default 11)")
-    p_gen.add_argument("--out", required=True, help="output CSV path")
-    p_gen.set_defaults(func=cmd_gen)
+    p = command("gen", cmd_gen, "generate a plane dataset CSV")
+    # a generated dataset is clean unless --noise says otherwise
+    _add_params(p, "n", "noise", "distribution", "seed", "lo", "hi", noise=0.0)
+    p.add_argument("--out", required=True, help="output CSV path")
 
-    p_train = sub.add_parser("train", help="fit a model file from a dataset")
-    add_common(p_train)
-    p_train.add_argument("dataset", help="input dataset CSV")
-    p_train.add_argument("model", help="output model path")
-    p_train.add_argument("--algo", required=True, choices=ALGORITHMS)
-    p_train.add_argument("--sets", type=int, help="input sets per variable (default 9)")
-    p_train.add_argument("--out-sets", dest="out_sets", type=int, help="output sets (default 13)")
-    p_train.add_argument("--mf", choices=(TRIANGULAR, GAUSSIAN), help="membership kind (must match the algorithm)")
-    p_train.add_argument("--width-factor", dest="width_factor", type=float)
-    p_train.add_argument("--alpha", type=float, help="learning rate (neurofuzzy)")
-    p_train.add_argument("--epochs", type=int, help="learning epochs (neurofuzzy)")
-    p_train.add_argument("--init", choices=(INIT_ZERO, INIT_CLUSTER))
-    p_train.add_argument("--lo", type=float)
-    p_train.add_argument("--hi", type=float)
-    p_train.add_argument("--out-lo", dest="out_lo", type=float)
-    p_train.add_argument("--out-hi", dest="out_hi", type=float)
-    p_train.set_defaults(func=cmd_train)
+    p = command("train", cmd_train, "fit a model file from a dataset")
+    p.add_argument("dataset", help="input dataset CSV")
+    p.add_argument("model", help="output model path")
+    p.add_argument("--algo", required=True, choices=ALGORITHMS)
+    _add_params(
+        p, "sets", "out_sets", "mf", "width_factor", "alpha", "epochs", "init",
+        "lo", "hi", "out_lo", "out_hi",
+    )
 
-    p_diff = sub.add_parser("diff", help="compare a clean/noisy model pair")
-    add_common(p_diff)
-    p_diff.add_argument("clean_model")
-    p_diff.add_argument("noisy_model")
-    p_diff.add_argument("--out", help="write the diff report CSV here")
-    p_diff.add_argument("--resolution", type=int)
-    p_diff.set_defaults(func=cmd_diff)
+    p = command("diff", cmd_diff, "compare a clean/noisy model pair")
+    p.add_argument("clean_model")
+    p.add_argument("noisy_model")
+    p.add_argument("--out", help="write the diff report CSV here")
+    _add_params(p, "resolution")
 
-    p_eval = sub.add_parser("eval", help="score a model against the analytic plane")
-    add_common(p_eval)
-    p_eval.add_argument("model")
-    p_eval.add_argument("--resolution", type=int)
-    p_eval.set_defaults(func=cmd_eval)
+    p = command("eval", cmd_eval, "score a model against the analytic plane")
+    p.add_argument("model")
+    _add_params(p, "resolution")
 
-    p_sweep = sub.add_parser("sweep", help="run a preset experiment matrix")
-    add_common(p_sweep)
-    p_sweep.add_argument("preset", choices=PRESETS)
-    p_sweep.add_argument("--algo", choices=ALGORITHMS, help="restrict partition-sweep to one algorithm")
-    p_sweep.add_argument("--trials", type=int, help="seeds per cell (default 10)")
-    p_sweep.add_argument("--seed", type=int, help="base seed (default 0)")
-    p_sweep.add_argument("--n", type=int, help="examples per dataset (default 100)")
-    p_sweep.add_argument("--distribution", choices=DISTRIBUTIONS)
-    p_sweep.add_argument("--resolution", type=int)
-    p_sweep.add_argument("--width-factor", dest="width_factor", type=float)
-    p_sweep.add_argument("--out", help="summary CSV path (default: standard output)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p = command("sweep", cmd_sweep, "run a preset experiment matrix")
+    p.add_argument("preset", choices=PRESETS)
+    p.add_argument("--algo", choices=ALGORITHMS, help="restrict partition-sweep to one algorithm")
+    _add_params(p, "trials", "seed", "n", "distribution", "resolution", "width_factor")
+    p.add_argument("--out", help="summary CSV path (default: standard output)")
 
     return parser
-
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)

@@ -12,6 +12,7 @@ them would hide exactly the pathology worth measuring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +121,8 @@ def write_diff_report(report: DiffReport, path, metadata: dict | None = None) ->
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}={value}\n")
         fh.write("x,y,diff\n")
-        for i, x in enumerate(report.xs):
-            for j, y in enumerate(report.ys):
-                d = report.diff_grid[i, j]
-                text = "NaN" if np.isnan(d) else f"{d:.17g}"
-                fh.write(f"{x:.17g},{y:.17g},{text}\n")
+        ys = [f"{y:.17g}" for y in report.ys.tolist()]
+        for x, row in zip(report.xs.tolist(), report.diff_grid.tolist()):
+            for y, d in zip(ys, row):
+                text = "NaN" if math.isnan(d) else f"{d:.17g}"
+                fh.write(f"{x:.17g},{y},{text}\n")

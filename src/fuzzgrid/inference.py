@@ -14,7 +14,6 @@ the things the benchmark measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +22,6 @@ from .membership import Partition, activations
 
 class NoActiveRuleError(Exception):
     """Raised by operations that cannot proceed on a coverage gap."""
-
-
-@dataclass(frozen=True)
-class Rule:
-    antecedent: tuple
-    conclusion: float
-    degree: float
 
 
 class FuzzyModel:
@@ -74,15 +66,6 @@ class FuzzyModel:
     def empty_count(self) -> int:
         return int(self.conclusions.size) - self.rule_count()
 
-    def rules(self):
-        """All non-empty cells as Rule records, in index order."""
-        out = []
-        for idx in np.ndindex(self.shape):
-            c = self.conclusions[idx]
-            if not np.isnan(c):
-                out.append(Rule(idx, float(c), float(self.degrees[idx])))
-        return out
-
     def weight_grid(self, x) -> np.ndarray:
         """Product-t-norm activation weight of every cell for input x.
 
@@ -96,16 +79,6 @@ class FuzzyModel:
         if not np.isfinite(x).all():
             raise ValueError(f"inputs must be finite, got {tuple(x.tolist())}")
         return activations(self.input_partitions, x[None, :]).reshape(self.shape)
-
-
-def activation(model: FuzzyModel, x):
-    """Cells activated by x: list of (cell index tuple, weight), weight > 0.
-
-    Weights cover the full grid, empty cells included; with triangular
-    partitions a 2-D input activates at most 4 cells.
-    """
-    w = model.weight_grid(x)
-    return [(idx, float(w[idx])) for idx in np.ndindex(model.shape) if w[idx] > 0.0]
 
 
 def infer(model: FuzzyModel, x):

@@ -22,6 +22,7 @@ EMPTY_WEIGHT_THRESHOLD = 1e-12
 
 INIT_ZERO = "zero"
 INIT_CLUSTER = "cluster"
+INITS = (INIT_ZERO, INIT_CLUSTER)
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class NeuroFuzzyConfig:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.init not in (INIT_ZERO, INIT_CLUSTER):
+        if self.init not in INITS:
             raise ValueError(f"unknown init mode {self.init!r}")
 
 

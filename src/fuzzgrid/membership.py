@@ -1,4 +1,4 @@
-"""Membership functions and uniform partitions.
+"""Uniform fuzzy partitions and the batched activation kernel.
 
 A partition covers one variable's range [lo, hi] with n unit-height
 membership functions on an evenly spaced grid of centers. Triangular
@@ -10,8 +10,6 @@ zero, which trades the partition-of-unity property for global support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 TRIANGULAR = "triangular"
@@ -19,29 +17,6 @@ GAUSSIAN = "gaussian"
 KINDS = (TRIANGULAR, GAUSSIAN)
 
 DEFAULT_WIDTH_FACTOR = 0.5
-
-
-@dataclass(frozen=True)
-class MembershipFunction:
-    """One fuzzy set: kind, center, and width.
-
-    For triangular sets the width is the half-base (distance from the
-    center to where the degree hits zero). For gaussian sets it is sigma.
-    """
-
-    kind: str
-    center: float
-    width: float
-
-
-def membership(mf: MembershipFunction, x: float) -> float:
-    """Degree of x in mf, in [0, 1]. Defined for every real x."""
-    if mf.kind == TRIANGULAR:
-        return max(0.0, 1.0 - abs(x - mf.center) / mf.width)
-    d = (x - mf.center) / mf.width
-    # np.exp, not math.exp: keeps this scalar form bit-identical to the
-    # vectorized Partition.degrees, which the learners all go through
-    return float(np.exp(-d * d))
 
 
 class Partition:
@@ -71,10 +46,8 @@ class Partition:
         centers = self.lo + self.spacing * np.arange(self.n, dtype=float)
         centers[-1] = self.hi
         self.centers = centers
+        # half-base of a triangular set, sigma of a gaussian one
         self.width = self.spacing if kind == TRIANGULAR else self.width_factor * self.spacing
-        self.functions = tuple(
-            MembershipFunction(kind, float(c), self.width) for c in centers
-        )
 
     def degrees(self, x) -> np.ndarray:
         """Membership degrees of x in every set, no clamping.
@@ -145,11 +118,3 @@ def activations(partitions, X) -> np.ndarray:
         deg = p.degrees(np.clip(X[:, i], p.lo, p.hi))
         W = deg if W is None else np.einsum("ni,nj->nij", W, deg).reshape(len(deg), -1)
     return W
-
-
-def make_uniform_partition(lo, hi, n, kind, width_factor=DEFAULT_WIDTH_FACTOR) -> Partition:
-    return Partition(lo, hi, n, kind, width_factor)
-
-
-def best_set(p: Partition, x: float) -> int:
-    return p.best(x)

@@ -1,10 +1,12 @@
+import argparse
 import subprocess
 import sys
 
 import pytest
 
 from fuzzgrid import DataSpec, load_model, make_plane_dataset, read_dataset
-from fuzzgrid.cli import SUMMARY_COLUMNS, main
+from fuzzgrid import cli
+from fuzzgrid.cli import SUMMARY_COLUMNS, ExperimentConfig, main
 
 
 def run(capsys, *argv):
@@ -281,6 +283,225 @@ def test_config_rejects_malformed_lines(capsys, tmp_path):
     )
     assert code == 1
     assert "expected key=value" in err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("n=7\nepoch=10\n", "config line 2: unknown key 'epoch'"),
+        ("# size\nn=2.5\n", "config line 2: n must be int, got '2.5'"),
+        ("noise=lots\n", "config line 1: noise must be float, got 'lots'"),
+        (
+            "distribution=gaussian\n",
+            "config line 1: distribution must be one of uniform, clustered, got 'gaussian'",
+        ),
+        ("init=random\n", "config line 1: init must be one of zero, cluster, got 'random'"),
+    ],
+)
+def test_config_rejects_unknown_keys_and_bad_values(capsys, tmp_path, text, message):
+    config = tmp_path / "bad.conf"
+    config.write_text(text)
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "gen", "--out", str(out), "--config", str(config))
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_config_keys_of_other_subcommands_are_ignored(capsys, tmp_path):
+    config = tmp_path / "shared.conf"
+    config.write_text("n=20\nsets=5\nepochs=3\ntrials=2\nresolution=9\nmf=gaussian\n")
+    path = gen(capsys, tmp_path, "d.csv", "--config", str(config))
+    assert read_dataset(path) == make_plane_dataset(DataSpec(n=20))
+    model = train(capsys, tmp_path, path, "m.model", "neurofuzzy", "--config", str(config))
+    assert load_model(model).shape == (5, 5)
+
+
+# ---------------------------------------------------------------------------
+# the option set of each subcommand and the parameter table behind it
+
+ALGOS = ("simplified", "cluster-tri", "cluster-gauss", "neurofuzzy")
+DISTS = ("uniform", "clustered")
+PRESETS = ("partition-sweep", "noise-levels", "datasize", "alpha-sweep", "algorithm-ladder")
+CONFIG = ("--config", "config", None, None, False)
+
+# (flag or positional name, dest, type, choices, required), in parser order
+OPTIONS = {
+    "gen": [
+        CONFIG,
+        ("--n", "n", int, None, False),
+        ("--noise", "noise", float, None, False),
+        ("--distribution", "distribution", None, DISTS, False),
+        ("--seed", "seed", int, None, False),
+        ("--lo", "lo", float, None, False),
+        ("--hi", "hi", float, None, False),
+        ("--out", "out", None, None, True),
+    ],
+    "train": [
+        CONFIG,
+        ("dataset", "dataset", None, None, True),
+        ("model", "model", None, None, True),
+        ("--algo", "algo", None, ALGOS, True),
+        ("--sets", "sets", int, None, False),
+        ("--out-sets", "out_sets", int, None, False),
+        ("--mf", "mf", None, ("triangular", "gaussian"), False),
+        ("--width-factor", "width_factor", float, None, False),
+        ("--alpha", "alpha", float, None, False),
+        ("--epochs", "epochs", int, None, False),
+        ("--init", "init", None, ("zero", "cluster"), False),
+        ("--lo", "lo", float, None, False),
+        ("--hi", "hi", float, None, False),
+        ("--out-lo", "out_lo", float, None, False),
+        ("--out-hi", "out_hi", float, None, False),
+    ],
+    "diff": [
+        CONFIG,
+        ("clean_model", "clean_model", None, None, True),
+        ("noisy_model", "noisy_model", None, None, True),
+        ("--out", "out", None, None, False),
+        ("--resolution", "resolution", int, None, False),
+    ],
+    "eval": [
+        CONFIG,
+        ("model", "model", None, None, True),
+        ("--resolution", "resolution", int, None, False),
+    ],
+    "sweep": [
+        CONFIG,
+        ("preset", "preset", None, PRESETS, True),
+        ("--algo", "algo", None, ALGOS, False),
+        ("--trials", "trials", int, None, False),
+        ("--seed", "seed", int, None, False),
+        ("--n", "n", int, None, False),
+        ("--distribution", "distribution", None, DISTS, False),
+        ("--resolution", "resolution", int, None, False),
+        ("--width-factor", "width_factor", float, None, False),
+        ("--out", "out", None, None, False),
+    ],
+}
+
+
+def subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_option_sets_are_pinned(command):
+    actions = [a for a in subparsers()[command]._actions if a.dest != "help"]
+    got = [
+        (
+            (a.option_strings or [a.dest])[0],
+            a.dest,
+            a.type,
+            tuple(a.choices) if a.choices is not None else None,
+            a.required,
+        )
+        for a in actions
+    ]
+    assert got == OPTIONS[command]
+    assert all(len(a.option_strings) <= 1 for a in actions)  # no aliases
+
+
+def test_only_the_known_subcommands_exist():
+    assert sorted(subparsers()) == sorted(OPTIONS)
+
+
+# Minimal argv that parses for each subcommand; nothing is read or run.
+ARGV = {
+    "gen": ["gen", "--out", "d.csv"],
+    "train": ["train", "d.csv", "m.model", "--algo", "neurofuzzy"],
+    "diff": ["diff", "a.model", "b.model"],
+    "eval": ["eval", "m.model"],
+    "sweep": ["sweep", "datasize"],
+}
+
+# Each table parameter: its default, a config-file value and a flag value.
+PRECEDENCE = {
+    "n": (100, 7, 3),
+    "noise": (0.1, 0.2, 0.3),
+    "distribution": ("uniform", "clustered", "uniform"),
+    "seed": (0, 5, 6),
+    "lo": (1.0, 0.5, 2.0),
+    "hi": (11.0, 10.0, 12.0),
+    "sets": (9, 5, 7),
+    "out_sets": (13, 9, 11),
+    "mf": (None, "triangular", "gaussian"),
+    "width_factor": (0.5, 0.25, 0.75),
+    "alpha": (0.1, 0.5, 0.8),
+    "epochs": (50, 4, 6),
+    "init": ("cluster", "zero", "cluster"),
+    "out_lo": (2.0, 0.0, 1.0),
+    "out_hi": (22.0, 20.0, 21.0),
+    "resolution": (50, 20, 30),
+    "trials": (10, 2, 3),
+}
+
+TAKES = [
+    (command, dest)
+    for command, options in OPTIONS.items()
+    for _, dest, *_ in options
+    if dest in PRECEDENCE
+]
+
+
+def resolve(*argv):
+    return cli._resolve(cli.build_parser().parse_args(list(argv)))
+
+
+def test_every_table_parameter_is_taken_somewhere():
+    assert {dest for _, dest in TAKES} == set(PRECEDENCE)
+
+
+@pytest.mark.parametrize("command,name", TAKES)
+def test_flag_beats_config_beats_default(tmp_path, command, name):
+    default, config_value, flag_value = PRECEDENCE[name]
+    if (command, name) == ("gen", "noise"):
+        default = 0.0  # gen writes clean data unless asked for noise
+    config = tmp_path / "p.conf"
+    config.write_text(f"# one parameter\n{name}={config_value}\n")
+    flag = "--" + name.replace("_", "-")
+    argv = ARGV[command]
+    assert resolve(*argv)[name] == default
+    assert resolve(*argv, "--config", str(config))[name] == config_value
+    assert resolve(*argv, "--config", str(config), flag, str(flag_value))[name] == flag_value
+    assert resolve(*argv, flag, str(flag_value))[name] == flag_value
+
+
+def test_defaults_are_the_experiment_config_defaults():
+    assert cli._experiment("neurofuzzy", resolve(*ARGV["train"])) == ExperimentConfig(
+        "neurofuzzy"
+    )
+    assert cli._experiment("simplified", resolve(*ARGV["sweep"])) == ExperimentConfig(
+        "simplified"
+    )
+
+
+def test_resolved_values_set_their_experiment_fields():
+    values = resolve(
+        *ARGV["train"], "--sets", "5", "--out-sets", "9", "--width-factor", "0.25",
+        "--alpha", "0.5", "--epochs", "4", "--init", "zero", "--lo", "0", "--hi", "10",
+        "--out-lo", "0", "--out-hi", "20",
+    )
+    assert cli._experiment("neurofuzzy", values) == ExperimentConfig(
+        "neurofuzzy",
+        input_sets=5,
+        output_sets=9,
+        width_factor=0.25,
+        alpha=0.5,
+        epochs=4,
+        init="zero",
+        domain=((0.0, 10.0), (0.0, 10.0)),
+        out_range=(0.0, 20.0),
+    )
+    values = resolve(
+        *ARGV["sweep"], "--n", "30", "--distribution", "clustered", "--seed", "4",
+        "--resolution", "20",
+    )
+    assert cli._experiment("simplified", values) == ExperimentConfig(
+        "simplified", n_examples=30, distribution="clustered", seed=4, resolution=20
+    )
 
 
 # ---------------------------------------------------------------------------

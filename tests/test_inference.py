@@ -7,7 +7,6 @@ from fuzzgrid import (
     Example,
     FuzzyModel,
     Partition,
-    activation,
     cluster_learn,
     infer,
     load_model,
@@ -24,17 +23,18 @@ def linear_model(n=3, lo=0.0, hi=10.0):
     return FuzzyModel([px, py], pout, conclusions)
 
 
+def active_cells(model, x):
+    """The cells x activates, {cell index tuple: weight}, in index order."""
+    w = model.weight_grid(x)
+    return {tuple(idx): w[tuple(idx)] for idx in np.argwhere(w > 0.0).tolist()}
+
+
 def test_activation_examples():
     m = linear_model()
-    acts = activation(m, (5.0, 5.0))
-    assert acts == [((1, 1), 1.0)]
-
-    acts = dict(activation(m, (2.5, 5.0)))
-    assert set(acts) == {(0, 1), (1, 1)}
-    assert acts[(0, 1)] == 0.5 and acts[(1, 1)] == 0.5
-
-    acts = dict(activation(m, (2.5, 2.5)))
-    assert set(acts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert active_cells(m, (5.0, 5.0)) == {(1, 1): 1.0}
+    assert active_cells(m, (2.5, 5.0)) == {(0, 1): 0.5, (1, 1): 0.5}
+    acts = active_cells(m, (2.5, 2.5))
+    assert list(acts) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert all(w == 0.25 for w in acts.values())
 
 
@@ -42,7 +42,7 @@ def test_activation_weights_sum_to_one():
     m = linear_model(n=9, lo=1.0, hi=11.0)
     rng = np.random.default_rng(2)
     for x, y in rng.uniform(1, 11, size=(100, 2)):
-        total = sum(w for _, w in activation(m, (x, y)))
+        total = sum(active_cells(m, (x, y)).values())
         assert abs(total - 1.0) < 1e-12
 
 
@@ -78,11 +78,7 @@ def test_infer_convexity():
         f = infer(m, (x, y))
         if f is None:
             continue
-        active = [
-            m.conclusions[idx]
-            for idx, w in activation(m, (x, y))
-            if not np.isnan(m.conclusions[idx])
-        ]
+        active = m.conclusions[(m.weight_grid((x, y)) > 0.0) & m.filled_mask()]
         assert min(active) - 1e-12 <= f <= max(active) + 1e-12
 
 
@@ -247,9 +243,15 @@ def test_model_shape_validation():
 
 def test_rules_listing():
     m = linear_model()
-    rules = m.rules()
-    assert len(rules) == 9
-    assert rules[0].antecedent == (0, 0)
-    assert rules[0].conclusion == 0.0
-    assert all(r.degree == 1.0 for r in rules)
+    filled = m.filled_mask()
     assert m.rule_count() == 9 and m.empty_count() == 0
+    assert np.argwhere(filled).tolist()[0] == [0, 0]
+    assert m.conclusions[0, 0] == 0.0
+    assert np.all(m.degrees[filled] == 1.0)
+
+    conclusions = m.conclusions.copy()
+    conclusions[0, 0] = np.nan
+    holed = FuzzyModel(m.input_partitions, m.output_partition, conclusions)
+    assert holed.rule_count() == 8 and holed.empty_count() == 1
+    assert np.argwhere(holed.filled_mask()).tolist()[0] == [0, 1]
+    assert np.isnan(holed.degrees[0, 0])

@@ -3,37 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from fuzzgrid import (
-    GAUSSIAN,
-    TRIANGULAR,
-    MembershipFunction,
-    Partition,
-    best_set,
-    make_uniform_partition,
-    membership,
-)
+from fuzzgrid import GAUSSIAN, TRIANGULAR, Partition
+
+from oracles import argmax_set, degree
 
 
 def test_triangular_center_and_crossing():
-    mf = MembershipFunction(TRIANGULAR, 5.0, 5.0)
-    assert membership(mf, 5.0) == 1.0
-    assert membership(mf, 7.5) == 0.5
-    assert membership(mf, 10.0) == 0.0
-    assert membership(mf, 12.0) == 0.0
+    # the middle set of three on [0, 10]: center 5, half-base 5
+    p = Partition(0, 10, 3, TRIANGULAR)
+    middle = p.degrees(np.array([5.0, 7.5, 10.0, 12.0]))[:, 1]
+    assert middle.tolist() == [1.0, 0.5, 0.0, 0.0]
 
 
 def test_gaussian_one_sigma():
-    mf = MembershipFunction(GAUSSIAN, 5.0, 2.5)
-    assert membership(mf, 5.0) == 1.0
-    assert membership(mf, 7.5) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    # the middle set of three on [0, 10]: center 5, sigma 0.5 * 5
+    p = Partition(0, 10, 3, GAUSSIAN, 0.5)
+    assert p.degrees(5.0)[1] == 1.0
+    assert p.degrees(7.5)[1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_uniform_partition_centers_and_widths():
-    p = make_uniform_partition(0, 10, 3, TRIANGULAR)
+    p = Partition(0, 10, 3, TRIANGULAR)
     assert list(p.centers) == [0.0, 5.0, 10.0]
-    assert all(f.width == 5.0 for f in p.functions)
+    assert p.width == 5.0
 
-    out = make_uniform_partition(2, 22, 13, TRIANGULAR)
+    out = Partition(2, 22, 13, TRIANGULAR)
     assert out.n == 13
     assert out.spacing == pytest.approx(5.0 / 3.0, rel=1e-15)
     # last center is pinned to the range end even when spacing rounds
@@ -41,9 +35,9 @@ def test_uniform_partition_centers_and_widths():
 
 
 def test_gaussian_width_factor():
-    p = make_uniform_partition(0, 10, 3, GAUSSIAN, 0.5)
+    p = Partition(0, 10, 3, GAUSSIAN, 0.5)
     assert p.width == 2.5
-    assert membership(p.functions[1], 7.5) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert p.degrees(7.5)[1] == pytest.approx(degree(p, 1, 7.5), rel=1e-15)
 
 
 def test_partition_validation():
@@ -59,9 +53,9 @@ def test_partition_validation():
 
 def test_best_set_examples():
     p = Partition(0, 10, 3, TRIANGULAR)
-    assert best_set(p, 6.0) == 1
-    assert best_set(p, 2.5) == 0  # exact tie, lower index wins
-    assert best_set(p, 12.0) == 2  # clamped to 10
+    assert p.best(6.0) == 1
+    assert p.best(2.5) == 0  # exact tie, lower index wins
+    assert p.best(12.0) == 2  # clamped to 10
 
 
 def test_best_set_matches_brute_force():
@@ -69,9 +63,7 @@ def test_best_set_matches_brute_force():
     for kind in (TRIANGULAR, GAUSSIAN):
         p = Partition(-3, 17, 7, kind)
         for x in rng.uniform(-5, 20, size=200):
-            degrees = [membership(f, p.clamp(x)) for f in p.functions]
-            expected = max(range(p.n), key=lambda i: (degrees[i], -i))
-            assert best_set(p, float(x)) == expected
+            assert p.best(float(x)) == argmax_set(p, float(x))
 
 
 def test_partition_of_unity():
@@ -87,25 +79,27 @@ def test_triangular_continuity():
     p = Partition(0, 10, 5, TRIANGULAR)
     eps = 1e-6
     rng = np.random.default_rng(5)
-    for x in rng.uniform(0, 10, size=100):
-        for f in p.functions:
-            delta = abs(membership(f, x) - membership(f, x + eps))
-            assert delta <= eps / f.width + 1e-12
+    xs = rng.uniform(0, 10, size=100)
+    delta = np.abs(p.degrees(xs) - p.degrees(xs + eps))
+    assert np.all(delta <= eps / p.width + 1e-12)
 
 
 def test_clamping_equivalence():
     p = Partition(2, 8, 4, TRIANGULAR)
     for x in (-100.0, 1.9, 2.0, 8.0, 8.1, 1e9):
-        assert best_set(p, x) == best_set(p, p.clamp(x))
+        assert p.best(x) == p.best(p.clamp(x))
 
 
 def test_degrees_vector_matches_scalar():
     for kind in (TRIANGULAR, GAUSSIAN):
         p = Partition(1, 11, 9, kind)
         for x in (0.5, 1.0, 3.3, 7.77, 11.0, 12.5):
-            vec = p.degrees(x)
-            for i, f in enumerate(p.functions):
-                assert vec[i] == membership(f, x)
+            vec = p.degrees(x).tolist()
+            expected = [degree(p, i, x) for i in range(p.n)]
+            if kind == TRIANGULAR:
+                assert vec == expected
+            else:  # the oracle's math.exp may differ from np.exp in the last bit
+                assert vec == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def test_batched_degrees_match_scalar_rows():
