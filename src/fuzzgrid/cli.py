@@ -69,6 +69,9 @@ PRESETS = (
     "algorithm-ladder",
 )
 
+# The dataset sizes the datasize preset sweeps; it sets n itself.
+DATASIZE_NS = (100, 400)
+
 DEFAULT_OUT_RANGE = (2.0, 22.0)
 
 HEAT_RAMP = " .:-=+*#%@"
@@ -189,7 +192,7 @@ def preset_cells(preset: str, base: ExperimentConfig, algo: str | None = None):
                 noise_level=0.10,
                 n_examples=n,
             )
-            for n in (100, 400)
+            for n in DATASIZE_NS
         ]
     if preset == "alpha-sweep":
         # K and the initialization are held fixed across the rate sweep
@@ -455,8 +458,15 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     values = _resolve(args)
-    cells = preset_cells(args.preset, _experiment(SIMPLIFIED, values), args.algo)
     trials = values["trials"]
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    # A config file's n stays ignored here, so one file can serve gen and
+    # every preset; an explicit flag that would be ignored is an error.
+    if args.preset == "datasize" and args.n is not None:
+        sizes = " and ".join(str(n) for n in DATASIZE_NS)
+        raise ValueError(f"--n does not apply to the datasize preset, which runs n = {sizes}")
+    cells = preset_cells(args.preset, _experiment(SIMPLIFIED, values), args.algo)
     _note(f"running {args.preset}: {len(cells)} cells x {trials} trials")
     rows = summary_rows(args.preset, cells, trials)
     text = "\n".join(rows) + "\n"

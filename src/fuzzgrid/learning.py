@@ -150,7 +150,9 @@ def neurofuzzy_learn(data, inputs, output: Partition, cfg: NeuroFuzzyConfig) -> 
         c_r <- c_r - alpha * (f(x) - z) * w_r / sum(w)
 
     The per-example scheduling is deliberate; it is what makes large
-    learning rates chase individual noisy examples.
+    learning rates chase individual noisy examples. It is kept, but run
+    blockwise (see _sweep), so the result matches the per-example loop to
+    rounding rather than bit for bit.
     """
     data = _check_data(data, inputs)
     _check_kind(inputs, GAUSSIAN, "neurofuzzy_learn")
@@ -165,15 +167,47 @@ def neurofuzzy_learn(data, inputs, output: Partition, cfg: NeuroFuzzyConfig) -> 
     c = conclusions.ravel()[flat_idx]
 
     weights, targets = _tuning_weights(data, inputs, flat_idx)
-    for _ in range(cfg.epochs):
-        for w, z in zip(weights, targets):
-            f = float(w @ c)
-            c = c - cfg.alpha * (f - z) * w
+    c = _sweep(weights, targets, c, cfg.alpha, cfg.epochs)
 
     out = np.full(conclusions.size, np.nan)
     out[flat_idx] = c
     out = out.reshape(conclusions.shape)
     return FuzzyModel(inputs, output, out, np.where(mask, 1.0, np.nan))
+
+
+# Rows per block of _sweep. The block build costs O(rows * _BLOCK * cells)
+# once per call and each epoch costs a few numpy calls per block, so small
+# blocks suit one-epoch runs on many rows and large ones many epochs on few.
+_BLOCK = 32
+
+
+def _sweep(W, targets, c, alpha: float, epochs: int):
+    """epochs passes of c <- c - alpha * (w @ c - z) * w over the rows w of
+    W and their targets z, in order; returns the final c.
+
+    Within a block of rows W_b the residuals r the loop would compute
+    satisfy (I + alpha * tril(W_b W_b^T, -1)) r = W_b c - z_b, c being the
+    value at the start of the block, and the block's updates sum to
+    -alpha * W_b^T r. So each block is one matrix K_b = alpha * (I + alpha
+    * tril(W_b W_b^T, -1))^-1, built once, and a pass applies
+    c <- c - W_b^T K_b (W_b c - z_b) block by block.
+    """
+    if epochs == 0 or alpha == 0.0:
+        return c
+    blocks = []
+    for s in range(0, len(W), _BLOCK):
+        Wb = W[s:s + _BLOCK]
+        T = np.tril(Wb.dot(Wb.T), -1)
+        T *= alpha
+        np.fill_diagonal(T, 1.0)
+        K = np.linalg.inv(T)
+        K *= alpha
+        blocks.append((Wb, K, targets[s:s + _BLOCK]))
+    c = c.copy()
+    for _ in range(epochs):
+        for Wb, K, zb in blocks:
+            c -= K.dot(Wb.dot(c) - zb).dot(Wb)
+    return c
 
 
 def _tuning_weights(data: Dataset, inputs, flat_idx):
@@ -182,7 +216,7 @@ def _tuning_weights(data: Dataset, inputs, flat_idx):
     Weights never change across epochs, so they are built once. Examples
     whose filled cells all have zero weight are dropped. Returns a
     C-contiguous (kept examples, len(flat_idx)) array and the kept
-    targets as floats.
+    targets as a float array.
     """
     W = activations(inputs, data.X)
     if len(flat_idx) < W.shape[1]:
@@ -195,4 +229,4 @@ def _tuning_weights(data: Dataset, inputs, flat_idx):
     if not keep.all():
         W, s, targets = W[keep], s[keep], targets[keep]
     W /= s[:, None]
-    return W, targets.tolist()
+    return W, targets

@@ -155,3 +155,18 @@ def tuning_weights(data, inputs, flat_idx):
         weights.append(w / s)
         targets.append(ex.z)
     return weights, targets
+
+
+def neurofuzzy_conclusions(weights, targets, c, alpha, epochs):
+    """The neuro-fuzzy learner's original epoch loop.
+
+    epochs passes over the rows of weights in order, each example moving
+    every conclusion by -alpha * (w @ c - z) * w at once. The library runs
+    the same updates blockwise; this is the per-example reference it must
+    match to relative 1e-12.
+    """
+    for _ in range(epochs):
+        for w, z in zip(weights, targets):
+            f = float(w @ c)
+            c = c - alpha * (f - z) * w
+    return c

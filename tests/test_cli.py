@@ -261,6 +261,31 @@ def test_sweep_stdout_and_determinism(capsys, tmp_path):
     assert [line.split(",")[5] for line in lines[1:]] == ["100", "400"]
 
 
+@pytest.mark.parametrize("source", ["flag 0", "flag -2", "config 0"])
+def test_sweep_rejects_trial_counts_below_one(capsys, tmp_path, source):
+    kind, count = source.split()
+    config = tmp_path / "t.conf"
+    config.write_text(f"trials={count}\n")
+    extra = ("--trials", count) if kind == "flag" else ("--config", str(config))
+    code, out, err = run(capsys, "sweep", "datasize", *extra)
+    assert code == 1
+    assert out == ""
+    assert err == "error: trials must be at least 1\n"
+
+
+def test_sweep_datasize_rejects_n_flag_and_ignores_config_n(capsys, tmp_path):
+    code, out, err = run(capsys, "sweep", "datasize", "--trials", "1", "--n", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --n does not apply to the datasize preset, which runs n = 100 and 400\n"
+
+    config = tmp_path / "shared.conf"
+    config.write_text("n=7\n")
+    code, out, err = run(capsys, "sweep", "datasize", "--trials", "1", "--config", str(config))
+    assert code == 0, err
+    assert [line.split(",")[5] for line in out.splitlines()[1:]] == ["100", "400"]
+
+
 # ---------------------------------------------------------------------------
 # config file resolution
 

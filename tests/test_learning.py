@@ -2,6 +2,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fuzzgrid import (
     GAUSSIAN,
@@ -23,9 +25,9 @@ from fuzzgrid import (
     wm_learn,
 )
 
-from fuzzgrid.learning import _tuning_weights
+from fuzzgrid.learning import INITS, _sweep, _tuning_weights
 
-from oracles import cluster_grid, tuning_weights, wm_grid
+from oracles import cluster_grid, neurofuzzy_conclusions, tuning_weights, wm_grid
 
 
 def tri_parts(n=3, lo=0.0, hi=10.0, out_lo=0.0, out_hi=20.0, out_n=13):
@@ -379,7 +381,72 @@ def test_tuning_weights_match_per_example_reference():
         assert weights.shape == (rows, cells)
         assert weights.flags.c_contiguous
         assert np.array_equal(weights, np.array(ref_weights))
-        assert targets == ref_targets
+        assert np.array_equal(targets, ref_targets)
+
+
+def assert_matches_loop(got, ref, *inputs):
+    """got equals ref to 1e-12 relative to the largest magnitude in ref
+    and inputs: the blocked sweep sums the loop's updates in another
+    order, so it is not bit-identical. Below the smallest normal float
+    rounding is absolute, so that much is allowed on top."""
+    scale = max(np.abs(a).max(initial=0.0) for a in (ref, *inputs))
+    error = np.abs(got - ref).max(initial=0.0)
+    assert error <= 1e-12 * scale + np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 100, 1000])
+def test_neurofuzzy_matches_per_example_loop(n):
+    # n straddles the 32-row blocks of the sweep.
+    out = Partition(2, 22, 13, TRIANGULAR)
+    wide = [Partition(1, 11, 9, GAUSSIAN), Partition(1, 11, 9, GAUSSIAN)]
+    # Narrow sets over data in one half of the domain: the cluster init
+    # leaves the other half empty, so only some cells are tuned.
+    narrow = [Partition(1, 11, 9, GAUSSIAN, 0.2), Partition(1, 11, 9, GAUSSIAN, 0.2)]
+    half = ((1.0, 6.0), (1.0, 11.0))
+    grids = [
+        (make_plane_dataset(DataSpec(n=n, noise_level=0.1, seed=n)), wide),
+        (make_plane_dataset(DataSpec(n=n, noise_level=0.1, domain=half, seed=n)), narrow),
+    ]
+    for data, inputs in grids:
+        for init in INITS:
+            if init == "cluster":
+                start = cluster_learn(data, inputs, out).conclusions
+            else:
+                start = np.full((9, 9), 12.0)
+            if inputs is narrow and init == "cluster":
+                assert np.isnan(start).any()
+            flat_idx = np.flatnonzero(~np.isnan(start).ravel())
+            weights, targets = tuning_weights(data, inputs, flat_idx)
+            assert len(weights) == n
+            for alpha in (0.1, 0.8, 0.95, 2.0):
+                for epochs in (1, 50):
+                    cfg = NeuroFuzzyConfig(alpha=alpha, epochs=epochs, init=init)
+                    got = neurofuzzy_learn(data, inputs, out, cfg).conclusions
+                    ref = start.copy()
+                    ref.flat[flat_idx] = neurofuzzy_conclusions(
+                        weights, targets, start.flat[flat_idx], alpha, epochs
+                    )
+                    filled = ~np.isnan(ref)
+                    assert np.array_equal(~np.isnan(got), filled)
+                    assert_matches_loop(got[filled], ref[filled])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sweep_matches_per_example_loop(data):
+    rows = data.draw(st.integers(1, 80), label="rows")
+    cells = data.draw(st.integers(1, 20), label="cells")
+    W = data.draw(hnp.arrays(np.float64, (rows, cells), elements=st.floats(0.0, 1.0)), label="W")
+    W[W.sum(axis=1) == 0.0] = 1.0
+    W /= W.sum(axis=1)[:, None]
+    values = st.floats(-100.0, 100.0)
+    targets = data.draw(hnp.arrays(np.float64, rows, elements=values), label="targets")
+    c = data.draw(hnp.arrays(np.float64, cells, elements=values), label="c")
+    alpha = data.draw(st.floats(0.0, 2.0), label="alpha")
+    epochs = data.draw(st.integers(0, 5), label="epochs")
+    got = _sweep(W, targets, c, alpha, epochs)
+    ref = neurofuzzy_conclusions(W, targets, c, alpha, epochs)
+    assert_matches_loop(got, ref, c, targets)
 
 
 def test_neurofuzzy_training_error_decreases():
