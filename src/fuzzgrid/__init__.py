@@ -6,11 +6,9 @@ from .datagen import (
     UNIFORM,
     DataSpec,
     Dataset,
-    Example,
     Rng,
     make_plane_dataset,
     read_dataset,
-    sample_inputs,
     write_dataset,
 )
 from .evaluation import (
@@ -24,7 +22,6 @@ from .evaluation import (
 )
 from .inference import (
     FuzzyModel,
-    NoActiveRuleError,
     infer,
     load_model,
     rule_diff,
@@ -33,7 +30,6 @@ from .inference import (
 from .learning import (
     NeuroFuzzyConfig,
     cluster_learn,
-    conclusion_gradient,
     neurofuzzy_learn,
     wm_learn,
 )
@@ -51,11 +47,9 @@ __all__ = [
     "UNIFORM",
     "DataSpec",
     "Dataset",
-    "Example",
     "Rng",
     "make_plane_dataset",
     "read_dataset",
-    "sample_inputs",
     "write_dataset",
     "DiffReport",
     "difference_surface",
@@ -65,14 +59,12 @@ __all__ = [
     "plane_truth",
     "write_diff_report",
     "FuzzyModel",
-    "NoActiveRuleError",
     "infer",
     "load_model",
     "rule_diff",
     "save_model",
     "NeuroFuzzyConfig",
     "cluster_learn",
-    "conclusion_gradient",
     "neurofuzzy_learn",
     "wm_learn",
     "GAUSSIAN",

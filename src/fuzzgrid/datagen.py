@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,21 +68,6 @@ class Rng:
         """The next count uniform doubles in [0, 1)."""
         return (self.next_u64s(count) >> np.uint64(11)) * 2.0**-53
 
-    def next_u64(self) -> int:
-        return int(self.next_u64s(1)[0])
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1)."""
-        return float(self.uniforms(1)[0])
-
-    def gauss(self) -> float:
-        """Standard normal via Box-Muller, first component only.
-
-        Consumes exactly two uniform draws.
-        """
-        u1, u2 = self.uniforms(2).tolist()
-        return _box_muller(u1, u2)
-
 
 def _box_muller(u1: float, u2: float) -> float:
     """First Box-Muller component of two uniform draws.
@@ -96,16 +82,8 @@ def _box_muller(u1: float, u2: float) -> float:
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-@dataclass(frozen=True)
-class Example:
-    """One observation: input vector x and measured output z."""
-
-    x: tuple
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in self.x) or not math.isfinite(self.z):
-            raise ValueError("examples must contain finite values only")
+# One observation as Dataset iteration yields it: inputs x (a tuple), output z.
+Example = namedtuple("Example", "x z")
 
 
 class Dataset:
@@ -113,8 +91,8 @@ class Dataset:
 
     X is a C-contiguous float64 array, z a float64 array. The constructor
     is the one place a dataset is validated: shapes, and finiteness of
-    every value. Iterating, indexing and == behave like a list of Example
-    (iteration and indexing yield Example(x, z) with x a tuple of floats).
+    every value. Iteration yields one Example(x, z) record per row, x a
+    tuple of floats; there is no indexing. == compares the arrays.
     Instances are immutable by convention; nothing mutates them after
     construction.
     """
@@ -138,23 +116,12 @@ class Dataset:
         self.X = X
         self.z = z
 
-    @classmethod
-    def of(cls, data) -> Dataset:
-        """data itself when it is a Dataset, else a Dataset of its Examples."""
-        if isinstance(data, cls):
-            return data
-        data = list(data)
-        return cls([ex.x for ex in data], [ex.z for ex in data])
-
     @property
     def dim(self) -> int:
         return self.X.shape[1]
 
     def __len__(self):
         return len(self.z)
-
-    def __getitem__(self, i) -> Example:
-        return Example(tuple(self.X[i].tolist()), float(self.z[i]))
 
     def __iter__(self):
         for x, z in zip(self.X.tolist(), self.z.tolist()):
@@ -193,7 +160,7 @@ class DataSpec:
                 raise ValueError(f"invalid domain range ({lo}, {hi})")
 
 
-def _sample_inputs(spec: DataSpec, rng: Rng) -> np.ndarray:
+def _draw_inputs(spec: DataSpec, rng: Rng) -> np.ndarray:
     """Input vectors in documented draw order, as an (n, d) array.
 
     Uniform: one draw per coordinate, example-major. Clustered: per
@@ -235,10 +202,6 @@ def _sample_inputs(spec: DataSpec, rng: Rng) -> np.ndarray:
     return X
 
 
-def sample_inputs(spec: DataSpec) -> list:
-    return [tuple(x) for x in _sample_inputs(spec, Rng(spec.seed)).tolist()]
-
-
 def make_plane_dataset(spec: DataSpec) -> Dataset:
     """Examples of z = x + y under spec, noisy if requested.
 
@@ -252,7 +215,7 @@ def make_plane_dataset(spec: DataSpec) -> Dataset:
             f"plane data needs exactly 2 inputs, domain has {len(spec.domain)}"
         )
     rng = Rng(spec.seed)
-    X = _sample_inputs(spec, rng)
+    X = _draw_inputs(spec, rng)
     z = X[:, 0] + X[:, 1]
     p = spec.noise_level
     if p > 0:
@@ -262,9 +225,8 @@ def make_plane_dataset(spec: DataSpec) -> Dataset:
     return Dataset(X, z)
 
 
-def write_dataset(path, data) -> None:
+def write_dataset(path, data: Dataset) -> None:
     """Dataset CSV: header x,y,z then one row per example, 17 digits."""
-    data = Dataset.of(data)
     if data.dim != 2:
         raise ValueError(f"dataset files hold 2-input examples, got {data.dim} inputs")
     with open(path, "w", encoding="utf-8") as fh:

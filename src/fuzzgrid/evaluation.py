@@ -20,8 +20,8 @@ import numpy as np
 from .inference import FuzzyModel, rule_diff
 
 
-def plane_truth(x: float, y: float) -> float:
-    """The benchmark's generating relation."""
+def plane_truth(x, y):
+    """The benchmark's generating relation, on floats or broadcast arrays."""
     return x + y
 
 
@@ -103,10 +103,14 @@ def difference_surface(clean: FuzzyModel, noisy: FuzzyModel, resolution: int = 5
 
 
 def model_error(model: FuzzyModel, truth, resolution: int = 50) -> dict:
-    """Fit against an analytic ground truth on the same grid protocol."""
+    """Fit against an analytic ground truth on the same grid protocol.
+
+    truth is called once, on broadcast arrays: x of shape (resolution, 1)
+    and y of shape (1, resolution).
+    """
     xs, ys = grid_axes(model, resolution)
     values = grid_values(model, resolution)
-    target = np.array([[truth(x, y) for y in ys] for x in xs])
+    target = truth(xs[:, None], ys[None, :])
     rmse, max_abs, gap_fraction = _aggregate(values - target)
     return {"rmse": rmse, "max_abs": max_abs, "gap_fraction": gap_fraction}
 

@@ -20,10 +20,6 @@ import numpy as np
 from .membership import Partition, activations
 
 
-class NoActiveRuleError(Exception):
-    """Raised by operations that cannot proceed on a coverage gap."""
-
-
 class FuzzyModel:
     """Grid of rules over d input partitions and one output partition.
 

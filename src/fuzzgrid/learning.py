@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Dataset, Example
-from .inference import FuzzyModel, NoActiveRuleError
+from .datagen import Dataset
+from .inference import FuzzyModel
 from .membership import GAUSSIAN, TRIANGULAR, Partition, activations
 
 EMPTY_WEIGHT_THRESHOLD = 1e-12
@@ -33,26 +33,25 @@ class NeuroFuzzyConfig:
 
     def __post_init__(self):
         # alpha = 0 is allowed so that "no learning" degenerates to the
-        # initialization; only negative rates are rejected.
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        # initialization. A weight row w is non-negative and sums to 1, so
+        # |w|^2 <= 1 and alpha <= 2 keeps every step c - alpha (w.c - z) w
+        # non-expansive; larger rates can diverge to inf and NaN.
+        if not 0 <= self.alpha <= 2:
+            raise ValueError(f"alpha must be in [0, 2], got {self.alpha}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.init not in INITS:
             raise ValueError(f"unknown init mode {self.init!r}")
 
 
-def _check_data(data, inputs) -> Dataset:
-    """data as a Dataset, checked to be non-empty and to have one input
-    per partition."""
+def _check_data(data: Dataset, inputs) -> None:
+    """Check that data is non-empty and has one input per partition."""
     if not len(data):
         raise ValueError("cannot learn from an empty dataset")
-    data = Dataset.of(data)
     if data.dim != len(inputs):
         raise ValueError(
             f"examples have {data.dim} inputs but there are {len(inputs)} input partitions"
         )
-    return data
 
 
 def _check_kind(partitions, kind, what):
@@ -61,7 +60,7 @@ def _check_kind(partitions, kind, what):
             raise ValueError(f"{what} requires {kind} partitions, got {p.kind}")
 
 
-def wm_learn(data, inputs, output: Partition) -> FuzzyModel:
+def wm_learn(data: Dataset, inputs, output: Partition) -> FuzzyModel:
     """Best-example rule extraction on triangular partitions.
 
     Each example nominates the cell given by its per-variable
@@ -70,7 +69,7 @@ def wm_learn(data, inputs, output: Partition) -> FuzzyModel:
     highest-degree example wins (earliest example on exact ties) and its
     output is quantized to the center of its best output set.
     """
-    data = _check_data(data, inputs)
+    _check_data(data, inputs)
     _check_kind(list(inputs) + [output], TRIANGULAR, "wm_learn")
     shape = tuple(p.n for p in inputs)
     rows = np.arange(len(data))
@@ -92,7 +91,7 @@ def wm_learn(data, inputs, output: Partition) -> FuzzyModel:
     return FuzzyModel(inputs, output, conclusions, degrees)
 
 
-def cluster_learn(data, inputs, output: Partition) -> FuzzyModel:
+def cluster_learn(data: Dataset, inputs, output: Partition) -> FuzzyModel:
     """Membership-weighted averaging of all examples into each cell.
 
     With triangular partitions each example only reaches its local
@@ -101,7 +100,7 @@ def cluster_learn(data, inputs, output: Partition) -> FuzzyModel:
     weight never exceeds a small threshold are left empty rather than
     divided by almost-zero.
     """
-    data = _check_data(data, inputs)
+    _check_data(data, inputs)
     kinds = {p.kind for p in inputs}
     if len(kinds) != 1:
         raise ValueError("input partitions must all share one membership kind")
@@ -115,32 +114,12 @@ def cluster_learn(data, inputs, output: Partition) -> FuzzyModel:
     conclusions = np.full(tuple(p.n for p in inputs), np.nan)
     ok = den > EMPTY_WEIGHT_THRESHOLD
     conclusions[ok] = num[ok] / den[ok]
-    degrees = np.where(ok, 1.0, np.nan)
-    return FuzzyModel(inputs, output, conclusions, degrees)
+    return FuzzyModel(inputs, output, conclusions)
 
 
-def conclusion_gradient(model: FuzzyModel, ex: Example):
-    """Partials of E = (f(x) - z)^2 / 2 with respect to each conclusion.
-
-    Returns (cell index, partial) pairs for the non-empty cells activated
-    by ex.x. Raises NoActiveRuleError when the example falls into a
-    coverage gap, since the error is undefined there.
-    """
-    w = model.weight_grid(ex.x)
-    mask = model.filled_mask()
-    den = float(w[mask].sum())
-    if den <= 0.0:
-        raise NoActiveRuleError(f"no active rule at {ex.x}")
-    f = float((w[mask] * model.conclusions[mask]).sum()) / den
-    residual = f - ex.z
-    out = []
-    for idx in np.ndindex(model.shape):
-        if mask[idx] and w[idx] > 0.0:
-            out.append((idx, residual * float(w[idx]) / den))
-    return out
-
-
-def neurofuzzy_learn(data, inputs, output: Partition, cfg: NeuroFuzzyConfig) -> FuzzyModel:
+def neurofuzzy_learn(
+    data: Dataset, inputs, output: Partition, cfg: NeuroFuzzyConfig
+) -> FuzzyModel:
     """Gradient tuning of conclusions on gaussian partitions.
 
     Initialization is either the cluster model or a flat grid at the
@@ -154,7 +133,7 @@ def neurofuzzy_learn(data, inputs, output: Partition, cfg: NeuroFuzzyConfig) -> 
     blockwise (see _sweep), so the result matches the per-example loop to
     rounding rather than bit for bit.
     """
-    data = _check_data(data, inputs)
+    _check_data(data, inputs)
     _check_kind(inputs, GAUSSIAN, "neurofuzzy_learn")
     if cfg.init == INIT_CLUSTER:
         init = cluster_learn(data, inputs, output)
@@ -162,8 +141,7 @@ def neurofuzzy_learn(data, inputs, output: Partition, cfg: NeuroFuzzyConfig) -> 
     else:
         shape = tuple(p.n for p in inputs)
         conclusions = np.full(shape, (output.lo + output.hi) / 2.0)
-    mask = ~np.isnan(conclusions)
-    flat_idx = np.flatnonzero(mask.ravel())
+    flat_idx = np.flatnonzero(~np.isnan(conclusions.ravel()))
     c = conclusions.ravel()[flat_idx]
 
     weights, targets = _tuning_weights(data, inputs, flat_idx)
@@ -171,8 +149,7 @@ def neurofuzzy_learn(data, inputs, output: Partition, cfg: NeuroFuzzyConfig) -> 
 
     out = np.full(conclusions.size, np.nan)
     out[flat_idx] = c
-    out = out.reshape(conclusions.shape)
-    return FuzzyModel(inputs, output, out, np.where(mask, 1.0, np.nan))
+    return FuzzyModel(inputs, output, out.reshape(conclusions.shape))
 
 
 # Rows per block of _sweep. The block build costs O(rows * _BLOCK * cells)

@@ -6,6 +6,17 @@ functions have half-base equal to the center spacing, so neighbours
 cross at degree 0.5 and the family sums to one everywhere in range.
 Gaussian functions get sigma = width_factor * spacing and never reach
 zero, which trades the partition-of-unity property for global support.
+
+Where inputs outside [lo, hi] are clamped into range, and where not:
+
+- activations clamps, so infer, FuzzyModel.weight_grid and the
+  neuro-fuzzy learner's weights see clamped inputs: an out-of-range
+  query resolves to the nearest edge region.
+- Partition.degrees does not clamp, and cluster_learn and the wm_learn
+  implication degree use it directly: an out-of-range example counts
+  less than it would at the edge, and fades to nothing far outside.
+- Partition.best clamps, so wm_learn's cell choice and the output-set
+  quantization see clamped values.
 """
 
 from __future__ import annotations
@@ -60,9 +71,6 @@ class Partition:
         if self.kind == TRIANGULAR:
             return np.maximum(0.0, 1.0 - d)
         return np.exp(-d * d)
-
-    def clamp(self, x: float) -> float:
-        return min(max(x, self.lo), self.hi)
 
     def best(self, x):
         """Index of the maximum-degree set for x, clamped into range.

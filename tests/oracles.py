@@ -145,9 +145,10 @@ def tuning_weights(data, inputs, flat_idx):
     weights = []
     targets = []
     for ex in data:
-        w = inputs[0].degrees(inputs[0].clamp(ex.x[0]))
+        p = inputs[0]
+        w = p.degrees(min(max(ex.x[0], p.lo), p.hi))
         for p, v in zip(inputs[1:], ex.x[1:]):
-            w = np.multiply.outer(w, p.degrees(p.clamp(v)))
+            w = np.multiply.outer(w, p.degrees(min(max(v, p.lo), p.hi)))
         w = w.ravel()[flat_idx]
         s = w.sum()
         if s <= 0.0:

@@ -97,6 +97,20 @@ def test_train_rejects_wrong_membership_kind(capsys, tmp_path):
     assert "neurofuzzy requires gaussian membership functions" in err
 
 
+def test_train_rejects_alpha_above_two(capsys, tmp_path):
+    # At this rate and width the sweep used to overflow: the model came
+    # out with 0 rules and 81 empty cells, and train exited 0.
+    data = gen(capsys, tmp_path, "a.csv", "--n", "100")
+    out_path = tmp_path / "m.model"
+    code, _, err = run(
+        capsys, "train", str(data), str(out_path), "--algo", "neurofuzzy",
+        "--alpha", "50", "--width-factor", "0.05",
+    )
+    assert code == 1
+    assert "alpha" in err
+    assert not out_path.exists()
+
+
 def test_train_missing_dataset(capsys, tmp_path):
     code, _, err = run(
         capsys, "train", str(tmp_path / "nope.csv"), str(tmp_path / "m.txt"),

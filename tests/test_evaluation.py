@@ -5,8 +5,8 @@ from fuzzgrid import (
     GAUSSIAN,
     TRIANGULAR,
     DataSpec,
+    Dataset,
     DiffReport,
-    Example,
     FuzzyModel,
     Partition,
     cluster_learn,
@@ -34,7 +34,7 @@ def sparse_model():
     px = Partition(1, 11, 5, TRIANGULAR)
     py = Partition(1, 11, 5, TRIANGULAR)
     pout = Partition(2, 22, 13, TRIANGULAR)
-    data = [Example((1.5, 1.5), 3.0), Example((2.0, 3.0), 5.0), Example((10.5, 10.0), 20.5)]
+    data = Dataset([(1.5, 1.5), (2.0, 3.0), (10.5, 10.0)], [3.0, 5.0, 20.5])
     return cluster_learn(data, [px, py], pout)
 
 

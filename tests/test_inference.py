@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fuzzgrid import (
     GAUSSIAN,
     TRIANGULAR,
-    Example,
+    Dataset,
     FuzzyModel,
     Partition,
     cluster_learn,
@@ -93,17 +95,13 @@ def test_infer_rejects_non_finite_inputs():
 
 def test_cluster_model_permutation_invariant():
     rng = np.random.default_rng(21)
-    data = [
-        Example((float(x), float(y)), float(x + y))
-        for x, y in rng.uniform(0, 10, size=(40, 2))
-    ]
+    X = rng.uniform(0, 10, size=(40, 2))
     px = Partition(0, 10, 5, TRIANGULAR)
     py = Partition(0, 10, 5, TRIANGULAR)
     pout = Partition(0, 20, 13, TRIANGULAR)
-    a = cluster_learn(data, [px, py], pout)
-    shuffled = list(data)
-    rng.shuffle(shuffled)
-    b = cluster_learn(shuffled, [px, py], pout)
+    a = cluster_learn(Dataset(X, X[:, 0] + X[:, 1]), [px, py], pout)
+    order = rng.permutation(len(X))
+    b = cluster_learn(Dataset(X[order], X[order, 0] + X[order, 1]), [px, py], pout)
     for x, y in rng.uniform(0, 10, size=(50, 2)):
         fa, fb = infer(a, (x, y)), infer(b, (x, y))
         assert fa == pytest.approx(fb, rel=1e-12, abs=1e-12)
@@ -170,6 +168,45 @@ def test_serialization_round_trip(tmp_path):
     # 17 significant digits means floats survive the trip exactly
     assert np.array_equal(loaded.conclusions, m.conclusions, equal_nan=True)
     assert np.array_equal(loaded.degrees, m.degrees, equal_nan=True)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_model_file_round_trip_is_bit_exact(tmp_path_factory, draw):
+    # Random partitions and grids: finite conclusions and degrees, NaN in
+    # both for an empty cell. Loading restores every float bit for bit,
+    # keeps empty cells empty, and saving again writes the same bytes.
+    def partition():
+        lo = draw.draw(st.floats(-1e6, 1e6), label="lo")
+        span = draw.draw(st.floats(1e-3, 1e6), label="span")
+        n = draw.draw(st.integers(2, 4), label="n")
+        kind = draw.draw(st.sampled_from([TRIANGULAR, GAUSSIAN]), label="kind")
+        wf = draw.draw(st.floats(1e-3, 10.0), label="width factor")
+        return Partition(lo, lo + span, n, kind, wf)
+
+    inputs = [partition() for _ in range(draw.draw(st.integers(1, 3), label="d"))]
+    output = partition()
+    shape = tuple(p.n for p in inputs)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    conclusions = draw.draw(hnp.arrays(np.float64, shape, elements=finite), label="c")
+    degrees = draw.draw(hnp.arrays(np.float64, shape, elements=finite), label="deg")
+    empty = draw.draw(hnp.arrays(np.bool_, shape), label="empty")
+    conclusions[empty] = np.nan
+    degrees[empty] = np.nan
+    model = FuzzyModel(inputs, output, conclusions, degrees)
+
+    path = tmp_path_factory.mktemp("model") / "m.model"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.input_partitions == inputs
+    assert loaded.output_partition == output
+    assert np.array_equal(loaded.filled_mask(), ~empty)
+    assert np.isnan(loaded.degrees[empty]).all()
+    assert loaded.conclusions[~empty].tobytes() == conclusions[~empty].tobytes()
+    assert loaded.degrees[~empty].tobytes() == degrees[~empty].tobytes()
+    again = path.with_name("again.model")
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_serialization_three_inputs(tmp_path):

@@ -10,13 +10,11 @@ from fuzzgrid import (
     TRIANGULAR,
     DataSpec,
     Dataset,
-    Example,
     FuzzyModel,
     NeuroFuzzyConfig,
-    NoActiveRuleError,
     Partition,
+    activations,
     cluster_learn,
-    conclusion_gradient,
     infer,
     make_plane_dataset,
     model_error,
@@ -46,26 +44,23 @@ def gauss_parts(n=3, lo=0.0, hi=10.0, wf=0.5):
 
 def random_data(rng, count=20, lo=0.0, hi=10.0):
     pts = rng.uniform(lo, hi, size=(count, 2))
-    return [
-        Example((float(x), float(y)), float(rng.uniform(2 * lo, 2 * hi)))
-        for x, y in pts
-    ]
+    return Dataset(pts, rng.uniform(2 * lo, 2 * hi, size=count))
+
+
+def one(x, z):
+    """The dataset of the single example (x, z)."""
+    return Dataset([x], [z])
 
 
 # ---------------------------------------------------------------------------
 # validation
 
-def test_example_requires_finite_values():
-    with pytest.raises(ValueError, match="finite"):
-        Example((1.0, float("nan")), 2.0)
-    with pytest.raises(ValueError, match="finite"):
-        Example((1.0, 2.0), float("inf"))
-
-
 def test_neurofuzzy_config_validation():
     NeuroFuzzyConfig(alpha=0.0, epochs=0)  # zero rate and zero epochs are legal
-    with pytest.raises(ValueError, match="alpha"):
-        NeuroFuzzyConfig(alpha=-0.1)
+    NeuroFuzzyConfig(alpha=2.0)  # the largest rate that keeps every step non-expansive
+    for alpha in (-0.1, 2.0 + 1e-9, 50.0, float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            NeuroFuzzyConfig(alpha=alpha)
     with pytest.raises(ValueError, match="epochs"):
         NeuroFuzzyConfig(epochs=-1)
     with pytest.raises(ValueError, match="init"):
@@ -74,25 +69,26 @@ def test_neurofuzzy_config_validation():
 
 def test_learners_reject_empty_data():
     inputs, out = tri_parts()
+    empty = Dataset(np.empty((0, 2)), np.empty(0))
     with pytest.raises(ValueError, match="empty dataset"):
-        wm_learn([], inputs, out)
+        wm_learn(empty, inputs, out)
     with pytest.raises(ValueError, match="empty dataset"):
-        cluster_learn([], inputs, out)
+        cluster_learn(empty, inputs, out)
     ginputs, gout = gauss_parts()
     with pytest.raises(ValueError, match="empty dataset"):
-        neurofuzzy_learn([], ginputs, gout, NeuroFuzzyConfig())
+        neurofuzzy_learn(empty, ginputs, gout, NeuroFuzzyConfig())
 
 
 def test_wm_requires_triangular():
     inputs, out = gauss_parts()
     with pytest.raises(ValueError, match="triangular"):
-        wm_learn([Example((5.0, 5.0), 10.0)], inputs, out)
+        wm_learn(one((5.0, 5.0), 10.0), inputs, out)
 
 
 def test_neurofuzzy_requires_gaussian():
     inputs, out = tri_parts()
     with pytest.raises(ValueError, match="gaussian"):
-        neurofuzzy_learn([Example((5.0, 5.0), 10.0)], inputs, out, NeuroFuzzyConfig())
+        neurofuzzy_learn(one((5.0, 5.0), 10.0), inputs, out, NeuroFuzzyConfig())
 
 
 WRONG_DIMENSIONS = ((5.0, 5.0, 5.0), (5.0,))
@@ -102,21 +98,21 @@ def test_wm_rejects_wrong_dimension():
     inputs, out = tri_parts()
     for x in WRONG_DIMENSIONS:
         with pytest.raises(ValueError, match="2 input partitions"):
-            wm_learn([Example(x, 10.0)], inputs, out)
+            wm_learn(one(x, 10.0), inputs, out)
 
 
 def test_cluster_rejects_wrong_dimension():
     inputs, out = tri_parts()
     for x in WRONG_DIMENSIONS:
         with pytest.raises(ValueError, match="2 input partitions"):
-            cluster_learn([Example(x, 10.0)], inputs, out)
+            cluster_learn(one(x, 10.0), inputs, out)
 
 
 def test_neurofuzzy_rejects_wrong_dimension():
     inputs, out = gauss_parts()
     for x in WRONG_DIMENSIONS:
         with pytest.raises(ValueError, match="2 input partitions"):
-            neurofuzzy_learn([Example(x, 10.0)], inputs, out, NeuroFuzzyConfig())
+            neurofuzzy_learn(one(x, 10.0), inputs, out, NeuroFuzzyConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +120,7 @@ def test_neurofuzzy_rejects_wrong_dimension():
 
 def test_wm_single_example_at_grid_point():
     inputs, out = tri_parts()
-    m = wm_learn([Example((5.0, 5.0), 10.0)], inputs, out)
+    m = wm_learn(one((5.0, 5.0), 10.0), inputs, out)
     assert m.rule_count() == 1
     assert m.conclusions[1, 1] == 10.0  # center of output set 6
     assert m.degrees[1, 1] == 1.0
@@ -134,9 +130,10 @@ def test_wm_single_example_at_grid_point():
 def test_wm_conflict_keeps_higher_degree():
     inputs, out = tri_parts()
     # both examples land in cell (1, 1); degrees 0.9 and 0.5
-    strong = Example((5.5, 5.0), 8.0)
-    weak = Example((7.5, 5.0), 16.0)
-    for data in ([strong, weak], [weak, strong]):
+    strong = ((5.5, 5.0), 8.0)
+    weak = ((7.5, 5.0), 16.0)
+    for (x1, z1), (x2, z2) in ((strong, weak), (weak, strong)):
+        data = Dataset([x1, x2], [z1, z2])
         m = wm_learn(data, inputs, out)
         assert m.rule_count() == 1
         assert m.degrees[1, 1] == pytest.approx(0.9, rel=1e-15)
@@ -145,11 +142,10 @@ def test_wm_conflict_keeps_higher_degree():
 
 def test_wm_tie_keeps_earliest():
     inputs, out = tri_parts()
-    first = Example((5.5, 5.0), 4.0)
-    second = Example((4.5, 5.0), 16.0)  # same 0.9 degree, same cell
-    m = wm_learn([first, second], inputs, out)
+    # the second example has the same 0.9 degree in the same cell
+    m = wm_learn(Dataset([(5.5, 5.0), (4.5, 5.0)], [4.0, 16.0]), inputs, out)
     assert m.conclusions[1, 1] == pytest.approx(out.centers[out.best(4.0)])
-    m = wm_learn([second, first], inputs, out)
+    m = wm_learn(Dataset([(4.5, 5.0), (5.5, 5.0)], [16.0, 4.0]), inputs, out)
     assert m.conclusions[1, 1] == pytest.approx(out.centers[out.best(16.0)])
 
 
@@ -179,9 +175,8 @@ def test_wm_permutation_invariant_without_ties():
     data = random_data(rng, 30)
     inputs, out = tri_parts(n=5)
     a = wm_learn(data, inputs, out)
-    shuffled = list(data)
-    rng.shuffle(shuffled)
-    b = wm_learn(shuffled, inputs, out)
+    order = rng.permutation(len(data))
+    b = wm_learn(Dataset(data.X[order], data.z[order]), inputs, out)
     assert np.array_equal(a.conclusions, b.conclusions, equal_nan=True)
 
 
@@ -190,14 +185,13 @@ def test_wm_permutation_invariant_without_ties():
 
 def test_cluster_symmetric_average():
     inputs, out = tri_parts()
-    data = [Example((5.0, 5.0), 8.0), Example((5.0, 5.0), 12.0)]
-    m = cluster_learn(data, inputs, out)
+    m = cluster_learn(Dataset([(5.0, 5.0), (5.0, 5.0)], [8.0, 12.0]), inputs, out)
     assert m.conclusions[1, 1] == 10.0
 
 
 def test_cluster_gaussian_global_support():
     inputs, out = gauss_parts()
-    m = cluster_learn([Example((5.0, 5.0), 10.0)], inputs, out)
+    m = cluster_learn(one((5.0, 5.0), 10.0), inputs, out)
     assert m.empty_count() == 0
     assert np.allclose(m.conclusions, 10.0)
 
@@ -205,8 +199,7 @@ def test_cluster_gaussian_global_support():
 def test_cluster_triangular_leaves_gaps():
     inputs, out = tri_parts(n=5)
     # all examples in one corner; the far corner has zero weight
-    data = [Example((0.5, 0.5), 1.0), Example((1.0, 0.2), 1.2)]
-    m = cluster_learn(data, inputs, out)
+    m = cluster_learn(Dataset([(0.5, 0.5), (1.0, 0.2)], [1.0, 1.2]), inputs, out)
     assert np.isnan(m.conclusions[4, 4])
     assert m.empty_count() > 0
 
@@ -227,12 +220,33 @@ def test_cluster_matches_naive_oracle():
 def test_cluster_conclusions_are_convex_combinations():
     rng = np.random.default_rng(37)
     data = random_data(rng, 50)
-    zs = [ex.z for ex in data]
     inputs, out = tri_parts(n=7)
     m = cluster_learn(data, inputs, out)
     filled = m.conclusions[m.filled_mask()]
-    assert filled.min() >= min(zs) - 1e-12
-    assert filled.max() <= max(zs) + 1e-12
+    assert filled.min() >= data.z.min() - 1e-12
+    assert filled.max() <= data.z.max() + 1e-12
+
+
+def test_learner_degrees_are_unclamped_activations_clamped():
+    # The policy in the membership module docstring. Sets 0 and 1 of x
+    # cover [0, 5]; (-1, 5) lies outside the domain, (0, 5) is its clamped
+    # twin. An anchor example at x = 2.5 with z = 0 shares cell (0, 1).
+    inputs, out = tri_parts()
+    outside = Dataset([(2.5, 5.0), (-1.0, 5.0)], [0.0, 10.0])
+    twin = Dataset([(2.5, 5.0), (0.0, 5.0)], [0.0, 10.0])
+    # cluster_learn: weight 0.8 outside against 1.0 at the edge, beside the
+    # anchor's 0.5, so the outside example pulls the average up less.
+    c_outside = cluster_learn(outside, inputs, out).conclusions[0, 1]
+    c_twin = cluster_learn(twin, inputs, out).conclusions[0, 1]
+    assert c_outside == pytest.approx(10.0 * 0.8 / 1.3, rel=1e-15)
+    assert c_twin == pytest.approx(10.0 * 1.0 / 1.5, rel=1e-15)
+    # wm_learn: best() clamps, so both land in cell (0, 1), but the
+    # implication degree is not clamped.
+    degree_outside = wm_learn(one((-1.0, 5.0), 10.0), inputs, out).degrees[0, 1]
+    assert degree_outside == pytest.approx(0.8)
+    assert wm_learn(one((0.0, 5.0), 10.0), inputs, out).degrees[0, 1] == 1.0
+    # activations, and so infer and the neuro-fuzzy weights, clamp.
+    assert np.array_equal(activations(inputs, outside.X), activations(inputs, twin.X))
 
 
 def test_cluster_rejects_mixed_kinds():
@@ -240,18 +254,27 @@ def test_cluster_rejects_mixed_kinds():
     py = Partition(0, 10, 3, GAUSSIAN)
     pout = Partition(0, 20, 13, TRIANGULAR)
     with pytest.raises(ValueError, match="one membership kind"):
-        cluster_learn([Example((5.0, 5.0), 10.0)], [px, py], pout)
+        cluster_learn(one((5.0, 5.0), 10.0), [px, py], pout)
 
 
 # ---------------------------------------------------------------------------
 # gradients
 
+def applied_gradient(model, x, z):
+    """The filled cells and the step direction (w @ c - z) * w that the
+    learner applies for one example: w is the example's row of
+    _tuning_weights, c the filled conclusions. It should be the gradient
+    of (f(x) - z)^2 / 2 with respect to c."""
+    flat_idx = np.flatnonzero(model.filled_mask().ravel())
+    W, _ = _tuning_weights(one(x, z), model.input_partitions, flat_idx)
+    return flat_idx, (W[0] @ model.conclusions.flat[flat_idx] - z) * W[0]
+
+
 def test_gradient_zero_residual():
     inputs, out = gauss_parts()
-    data = [Example((5.0, 5.0), 10.0)]
-    m = cluster_learn(data, inputs, out)
-    for _, partial in conclusion_gradient(m, Example((3.0, 7.0), 10.0)):
-        assert partial == pytest.approx(0.0, abs=1e-12)
+    m = cluster_learn(one((5.0, 5.0), 10.0), inputs, out)
+    _, grad = applied_gradient(m, (3.0, 7.0), 10.0)
+    assert np.all(np.abs(grad) <= 1e-12)
 
 
 def test_gradient_single_cell():
@@ -261,53 +284,35 @@ def test_gradient_single_cell():
     conclusions = np.full((3, 3), np.nan)
     conclusions[1, 1] = 12.0
     m = FuzzyModel([px, py], pout, conclusions)
-    grads = conclusion_gradient(m, Example((5.0, 5.0), 10.0))
-    assert grads == [((1, 1), 2.0)]
-
-
-def test_gradient_raises_on_gap():
-    px = Partition(0, 10, 5, TRIANGULAR)
-    py = Partition(0, 10, 5, TRIANGULAR)
-    pout = Partition(0, 20, 13, TRIANGULAR)
-    conclusions = np.full((5, 5), np.nan)
-    conclusions[0, 0] = 3.0
-    m = FuzzyModel([px, py], pout, conclusions)
-    with pytest.raises(NoActiveRuleError):
-        conclusion_gradient(m, Example((9.0, 9.0), 5.0))
+    flat_idx, grad = applied_gradient(m, (5.0, 5.0), 10.0)
+    assert flat_idx.tolist() == [4]  # cell (1, 1)
+    assert grad.tolist() == [2.0]
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(41)
     h = 1e-6
-    checked = 0
-    while checked < 100:
+    for _ in range(100):
         n = int(rng.integers(2, 5))
         inputs, out = gauss_parts(n=n, wf=float(rng.uniform(0.3, 1.0)))
         conclusions = rng.uniform(0, 20, size=(n, n))
-        m = FuzzyModel(inputs, out, conclusions)
-        ex = Example(
-            (float(rng.uniform(0, 10)), float(rng.uniform(0, 10))),
-            float(rng.uniform(0, 20)),
-        )
-        grads = dict(conclusion_gradient(m, ex))
+        x = (float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
+        z = float(rng.uniform(0, 20))
+        flat_idx, grad = applied_gradient(FuzzyModel(inputs, out, conclusions), x, z)
+        assert len(flat_idx) == n * n
 
-        def loss(model):
-            f = infer(model, ex.x)
-            return 0.5 * (f - ex.z) ** 2
+        def loss(c):
+            return 0.5 * (infer(FuzzyModel(inputs, out, c), x) - z) ** 2
 
-        for idx, analytic in grads.items():
+        for i, analytic in zip(flat_idx, grad):
             plus = conclusions.copy()
-            plus[idx] += h
+            plus.flat[i] += h
             minus = conclusions.copy()
-            minus[idx] -= h
-            fd = (
-                loss(FuzzyModel(inputs, out, plus))
-                - loss(FuzzyModel(inputs, out, minus))
-            ) / (2 * h)
+            minus.flat[i] -= h
+            fd = (loss(plus) - loss(minus)) / (2 * h)
             # loss is quadratic in each conclusion, so the central
             # difference is exact up to roundoff of order eps * loss / h
             assert abs(fd - analytic) <= 1e-7 + 1e-6 * abs(analytic)
-        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +346,8 @@ def test_neurofuzzy_single_example_full_correction():
     px = Partition(0, 10, 2, GAUSSIAN, 0.05)
     py = Partition(0, 10, 2, GAUSSIAN, 0.05)
     pout = Partition(0, 20, 13, TRIANGULAR)
-    data = [Example((0.0, 0.0), 7.0)]
     cfg = NeuroFuzzyConfig(alpha=1.0, epochs=1, init="zero")
-    m = neurofuzzy_learn(data, [px, py], pout, cfg)
+    m = neurofuzzy_learn(one((0.0, 0.0), 7.0), [px, py], pout, cfg)
     assert m.conclusions[0, 0] == 7.0
 
 
@@ -357,26 +361,22 @@ def test_tuning_weights_match_per_example_reference():
     # Narrower still around corner data: the far example has zero weight
     # on every filled cell and is dropped.
     narrowest = [Partition(1, 11, 9, GAUSSIAN, 0.05), Partition(1, 11, 9, GAUSSIAN, 0.05)]
-    corner = [
-        Example((9.8, 10.1), 19.9),
-        Example((10.4, 9.9), 20.3),
-        Example((10.9, 10.6), 21.5),
-        Example((11.0, 11.0), 22.0),
-        Example((-90.0, -90.0), 3.0),
-    ]
+    corner = Dataset(
+        [(9.8, 10.1), (10.4, 9.9), (10.9, 10.6), (11.0, 11.0), (-90.0, -90.0)],
+        [19.9, 20.3, 21.5, 22.0, 3.0],
+    )
     three = [Partition(0, 1, 4, GAUSSIAN, 0.7) for _ in range(3)]
-    rng = np.random.default_rng(43)
+    cube = np.random.default_rng(43).uniform(-0.2, 1.2, (50, 3))
     cases = [
         (make_plane_dataset(DataSpec(n=300, noise_level=0.3, seed=5)), wide, 81, 300),
         (half, narrow, 45, 200),
         (corner, narrowest, 1, 4),
-        ([Example(tuple(x), float(sum(x))) for x in rng.uniform(-0.2, 1.2, (50, 3))],
-         three, 64, 50),
+        (Dataset(cube, [sum(x) for x in cube.tolist()]), three, 64, 50),
     ]
     for data, inputs, cells, rows in cases:
         filled = cluster_learn(data, inputs, out).filled_mask()
         flat_idx = np.flatnonzero(filled.ravel())
-        weights, targets = _tuning_weights(Dataset.of(data), inputs, flat_idx)
+        weights, targets = _tuning_weights(data, inputs, flat_idx)
         ref_weights, ref_targets = tuning_weights(data, inputs, flat_idx)
         assert weights.shape == (rows, cells)
         assert weights.flags.c_contiguous
