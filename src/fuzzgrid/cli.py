@@ -45,7 +45,7 @@ from .learning import (
     neurofuzzy_learn,
     wm_learn,
 )
-from .membership import DEFAULT_WIDTH_FACTOR, GAUSSIAN, KINDS, TRIANGULAR, Partition
+from .membership import DEFAULT_WIDTH_FACTOR, GAUSSIAN, TRIANGULAR, Partition
 
 SIMPLIFIED = "simplified"
 CLUSTER_TRI = "cluster-tri"
@@ -277,9 +277,8 @@ def render_heatmap(report: DiffReport) -> str:
 
 # Every parameter a subcommand can take, by config key and flag name (the
 # key with dashes, --out-sets for out_sets): the ExperimentConfig field it
-# sets, its type or tuple of choices, and its help text. mf only checks the
-# algorithm's membership kind and trials counts sweep seeds, so neither
-# sets a field.
+# sets, its type or tuple of choices, and its help text. trials counts sweep
+# seeds, so it sets no field.
 _PARAMS = {
     "n": ("n_examples", int, "examples per dataset"),
     "noise": ("noise_level", float, "noise level, e.g. 0.10"),
@@ -289,7 +288,6 @@ _PARAMS = {
     "hi": ("domain", float, "input range high end"),
     "sets": ("input_sets", int, "input sets per variable"),
     "out_sets": ("output_sets", int, "output sets"),
-    "mf": (None, KINDS, "membership kind (must match the algorithm)"),
     "width_factor": ("width_factor", float, "gaussian sigma as a multiple of set spacing"),
     "alpha": ("alpha", float, "neurofuzzy learning rate"),
     "epochs": ("epochs", int, "neurofuzzy learning epochs"),
@@ -311,7 +309,7 @@ _FIELDS = {
 _DEFAULTS = {name: getattr(ExperimentConfig, field) for name, field in _FIELDS.items()}
 _DEFAULTS["lo"], _DEFAULTS["hi"] = DEFAULT_DOMAIN[0]
 _DEFAULTS["out_lo"], _DEFAULTS["out_hi"] = DEFAULT_OUT_RANGE
-_DEFAULTS.update(mf=None, trials=10)  # mf None: the algorithm's own kind
+_DEFAULTS["trials"] = 10
 
 
 def load_config(path) -> dict:
@@ -397,8 +395,6 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     values = _resolve(args)
     algo = args.algo
-    if values["mf"] not in (None, ALGO_KIND[algo]):
-        return _die(f"{algo} requires {ALGO_KIND[algo]} membership functions")
     try:
         data = read_dataset(args.dataset)
     except (OSError, ValueError) as e:
@@ -466,6 +462,8 @@ def cmd_sweep(args) -> int:
     if args.preset == "datasize" and args.n is not None:
         sizes = " and ".join(str(n) for n in DATASIZE_NS)
         raise ValueError(f"--n does not apply to the datasize preset, which runs n = {sizes}")
+    if args.algo is not None and args.preset != "partition-sweep":
+        raise ValueError(f"--algo applies to the partition-sweep preset only, not {args.preset}")
     cells = preset_cells(args.preset, _experiment(SIMPLIFIED, values), args.algo)
     _note(f"running {args.preset}: {len(cells)} cells x {trials} trials")
     rows = summary_rows(args.preset, cells, trials)
@@ -517,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="output model path")
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
     _add_params(
-        p, "sets", "out_sets", "mf", "width_factor", "alpha", "epochs", "init",
+        p, "sets", "out_sets", "width_factor", "alpha", "epochs", "init",
         "lo", "hi", "out_lo", "out_hi",
     )
 

@@ -153,10 +153,10 @@ class DataSpec:
             raise ValueError(f"need at least one example, got n={self.n}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.noise_level < 0:
-            raise ValueError("noise level must be non-negative")
+        if not 0 <= self.noise_level < math.inf:
+            raise ValueError(f"noise level must be non-negative and finite, got {self.noise_level}")
         for lo, hi in self.domain:
-            if lo >= hi:
+            if not (lo < hi and math.isfinite(hi - lo)):
                 raise ValueError(f"invalid domain range ({lo}, {hi})")
 
 

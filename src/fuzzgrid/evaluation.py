@@ -39,21 +39,10 @@ def grid_axes(model: FuzzyModel, resolution: int):
 def grid_values(model: FuzzyModel, resolution: int) -> np.ndarray:
     """Model output on a regular grid, NaN at coverage gaps.
 
-    Rows index x, columns index y. The arithmetic is the vectorized twin
-    of infer(): center average over non-empty cells.
+    Rows index x, columns index y. The values are FuzzyModel.outputs, the
+    same center average that infer() takes at one point.
     """
-    xs, ys = grid_axes(model, resolution)
-    px, py = model.input_partitions
-    mx = px.degrees(xs)
-    my = py.degrees(ys)
-    mask = model.filled_mask()
-    conc = np.where(mask, model.conclusions, 0.0)
-    num = np.einsum("ai,bj,ij->ab", mx, my, conc)
-    den = np.einsum("ai,bj,ij->ab", mx, my, mask.astype(float))
-    out = np.full((resolution, resolution), np.nan)
-    ok = den > 0.0
-    out[ok] = num[ok] / den[ok]
-    return out
+    return model.outputs(grid_axes(model, resolution))
 
 
 @dataclass

@@ -14,17 +14,18 @@ the things the benchmark measures.
 from __future__ import annotations
 
 import math
+import string
 
 import numpy as np
 
-from .membership import Partition, activations
+from .membership import Partition
 
 
 class FuzzyModel:
     """Grid of rules over d input partitions and one output partition.
 
     conclusions and degrees are dense float arrays of shape
-    (p1.n, ..., pd.n); NaN marks an empty cell.
+    (p1.n, ..., pd.n); NaN marks an empty cell, infinities are rejected.
     """
 
     def __init__(self, input_partitions, output_partition, conclusions, degrees=None):
@@ -42,6 +43,8 @@ class FuzzyModel:
             degrees = np.asarray(degrees, dtype=float)
             if degrees.shape != shape:
                 raise ValueError("degree grid shape does not match partitions")
+        if np.isinf(conclusions).any() or np.isinf(degrees).any():
+            raise ValueError("conclusions and degrees must be finite, or NaN in an empty cell")
         self.conclusions = conclusions
         self.degrees = degrees
 
@@ -62,30 +65,38 @@ class FuzzyModel:
     def empty_count(self) -> int:
         return int(self.conclusions.size) - self.rule_count()
 
-    def weight_grid(self, x) -> np.ndarray:
-        """Product-t-norm activation weight of every cell for input x.
+    def outputs(self, axes) -> np.ndarray:
+        """Center-average output on the grid spanned by axes, NaN at gaps.
 
-        Coordinates are clamped into each partition's range first, so
-        out-of-range queries resolve to the nearest edge region instead
-        of fading to nothing. Non-finite coordinates raise ValueError.
+        axes holds one 1-D coordinate array per input. Each is clamped into
+        its partition's range, so out-of-range queries resolve to the
+        nearest edge region instead of fading to nothing.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or len(x) != self.dim:
-            raise ValueError(f"expected {self.dim} inputs, got {x.size}")
-        if not np.isfinite(x).all():
-            raise ValueError(f"inputs must be finite, got {tuple(x.tolist())}")
-        return activations(self.input_partitions, x[None, :]).reshape(self.shape)
+        mats = [p.degrees(np.clip(a, p.lo, p.hi)) for p, a in zip(self.input_partitions, axes)]
+        grid, cells = string.ascii_uppercase[:self.dim], string.ascii_lowercase[:self.dim]
+        # "Aa,Bb,ab->AB" for two inputs: product-t-norm weights times cell values
+        subscripts = ",".join(g + c for g, c in zip(grid, cells)) + f",{cells}->{grid}"
+        mask = self.filled_mask()
+        num = np.einsum(subscripts, *mats, np.where(mask, self.conclusions, 0.0))
+        den = np.einsum(subscripts, *mats, mask.astype(float))
+        out = np.full(den.shape, np.nan)
+        ok = den > 0.0
+        out[ok] = num[ok] / den[ok]
+        return out
 
 
 def infer(model: FuzzyModel, x):
-    """Center-average output for x, or None on a coverage gap."""
-    w = model.weight_grid(x)
-    mask = model.filled_mask()
-    den = float(w[mask].sum())
-    if den <= 0.0:
-        return None
-    num = float((w[mask] * model.conclusions[mask]).sum())
-    return num / den
+    """Center-average output for x, or None on a coverage gap.
+
+    x is clamped as in FuzzyModel.outputs; non-finite x raises ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) != model.dim:
+        raise ValueError(f"expected {model.dim} inputs, got {x.size}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"inputs must be finite, got {tuple(x.tolist())}")
+    value = float(model.outputs(x[:, None]).flat[0])
+    return None if math.isnan(value) else value
 
 
 def rule_diff(a: FuzzyModel, b: FuzzyModel) -> dict:

@@ -9,9 +9,9 @@ zero, which trades the partition-of-unity property for global support.
 
 Where inputs outside [lo, hi] are clamped into range, and where not:
 
-- activations clamps, so infer, FuzzyModel.weight_grid and the
-  neuro-fuzzy learner's weights see clamped inputs: an out-of-range
-  query resolves to the nearest edge region.
+- activations and FuzzyModel.outputs clamp, so the neuro-fuzzy
+  learner's weights, infer and grid_values see clamped inputs: an
+  out-of-range query resolves to the nearest edge region.
 - Partition.degrees does not clamp, and cluster_learn and the wm_learn
   implication degree use it directly: an out-of-range example counts
   less than it would at the edge, and fades to nothing far outside.
@@ -40,14 +40,15 @@ class Partition:
     """
 
     def __init__(self, lo, hi, n, kind, width_factor=DEFAULT_WIDTH_FACTOR):
-        if lo >= hi:
-            raise ValueError(f"invalid range: lo ({lo}) must be < hi ({hi})")
+        # hi - lo is inf or NaN when a bound is not finite or the span overflows
+        if not (lo < hi and np.isfinite(hi - lo)):
+            raise ValueError(f"invalid range ({lo}, {hi}): need lo < hi, and lo, hi, hi - lo finite")
         if n < 2:
             raise ValueError(f"invalid count: need at least 2 sets, got {n}")
         if kind not in KINDS:
             raise ValueError(f"unknown membership kind {kind!r}")
-        if width_factor <= 0:
-            raise ValueError(f"invalid width factor: {width_factor} (must be > 0)")
+        if not 0 < width_factor < np.inf:
+            raise ValueError(f"invalid width factor: {width_factor} (must be finite and > 0)")
         self.lo = float(lo)
         self.hi = float(hi)
         self.n = int(n)

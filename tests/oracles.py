@@ -25,6 +25,28 @@ def degree(p, i, x):
     return fn(float(p.centers[i]), p.width, x)
 
 
+def center_average(model, x):
+    """Center-average output at x, one cell at a time, or None on a gap.
+
+    Each coordinate is clamped into its partition's range; a cell's
+    weight is the product of its scalar degrees, and empty cells count
+    in neither the weighted sum nor the total weight.
+    """
+    x = [min(max(v, p.lo), p.hi) for p, v in zip(model.input_partitions, x)]
+    num = 0.0
+    den = 0.0
+    for cell in np.ndindex(model.shape):
+        c = float(model.conclusions[cell])
+        if math.isnan(c):
+            continue
+        w = 1.0
+        for p, v, i in zip(model.input_partitions, x, cell):
+            w *= degree(p, i, v)
+        num += w * c
+        den += w
+    return num / den if den > 0.0 else None
+
+
 def argmax_set(p, x):
     """First index of maximal membership, input clamped into range."""
     x = min(max(x, p.lo), p.hi)

@@ -51,6 +51,17 @@ def test_gen_rejects_negative_noise(capsys, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_gen_rejects_non_finite_noise(capsys, tmp_path, noise):
+    # --noise nan used to write a file byte-identical to the clean dataset.
+    code, _, err = run(
+        capsys, "gen", "--out", str(tmp_path / "a.csv"), "--n", "5", "--noise", noise
+    )
+    assert code == 1
+    assert f"noise level must be non-negative and finite, got {noise}" in err
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_gen_reports_to_stderr_only(capsys, tmp_path):
     path = tmp_path / "d.csv"
     code, out, err = run(capsys, "gen", "--out", str(path), "--n", "5")
@@ -80,21 +91,24 @@ def test_train_neurofuzzy_uses_gaussian(capsys, tmp_path):
     assert model.input_partitions[0].kind == "gaussian"
 
 
-def test_train_rejects_wrong_membership_kind(capsys, tmp_path):
-    data = gen(capsys, tmp_path, "d.csv", "--n", "20")
-    out_path = tmp_path / "m.txt"
-    code, _, err = run(
-        capsys, "train", str(data), str(out_path), "--algo", "simplified",
-        "--mf", "gaussian",
-    )
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (("--algo", "cluster-gauss", "--width-factor", "nan"), "invalid width factor: nan"),
+        (("--algo", "simplified", "--lo", "nan"), "invalid range (nan, 11.0)"),
+        (("--algo", "simplified", "--out-hi", "inf"), "invalid range"),
+        (("--algo", "simplified", "--lo=-1e308", "--hi", "1e308"), "invalid range"),
+    ],
+)
+def test_train_rejects_non_finite_partitions(capsys, tmp_path, flags, message):
+    # Each of these used to exit 0: a NaN width factor gave 0 rules and 81
+    # empty cells, and a NaN lo wrote a model that eval could not load.
+    data = gen(capsys, tmp_path, "b.csv", "--n", "100")
+    out_path = tmp_path / "m.model"
+    code, _, err = run(capsys, "train", str(data), str(out_path), *flags)
     assert code == 1
-    assert "simplified requires triangular membership functions" in err
-    code, _, err = run(
-        capsys, "train", str(data), str(out_path), "--algo", "neurofuzzy",
-        "--mf", "triangular",
-    )
-    assert code == 1
-    assert "neurofuzzy requires gaussian membership functions" in err
+    assert message in err
+    assert not out_path.exists()
 
 
 def test_train_rejects_alpha_above_two(capsys, tmp_path):
@@ -300,6 +314,14 @@ def test_sweep_datasize_rejects_n_flag_and_ignores_config_n(capsys, tmp_path):
     assert [line.split(",")[5] for line in out.splitlines()[1:]] == ["100", "400"]
 
 
+@pytest.mark.parametrize("preset", ["algorithm-ladder", "datasize"])
+def test_sweep_rejects_algo_outside_partition_sweep(capsys, preset):
+    code, out, err = run(capsys, "sweep", preset, "--trials", "1", "--algo", "simplified")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --algo applies to the partition-sweep preset only, not {preset}\n"
+
+
 # ---------------------------------------------------------------------------
 # config file resolution
 
@@ -335,6 +357,7 @@ def test_config_rejects_malformed_lines(capsys, tmp_path):
             "config line 1: distribution must be one of uniform, clustered, got 'gaussian'",
         ),
         ("init=random\n", "config line 1: init must be one of zero, cluster, got 'random'"),
+        ("mf=gaussian\n", "config line 1: unknown key 'mf'"),
     ],
 )
 def test_config_rejects_unknown_keys_and_bad_values(capsys, tmp_path, text, message):
@@ -349,7 +372,7 @@ def test_config_rejects_unknown_keys_and_bad_values(capsys, tmp_path, text, mess
 
 def test_config_keys_of_other_subcommands_are_ignored(capsys, tmp_path):
     config = tmp_path / "shared.conf"
-    config.write_text("n=20\nsets=5\nepochs=3\ntrials=2\nresolution=9\nmf=gaussian\n")
+    config.write_text("n=20\nsets=5\nepochs=3\ntrials=2\nresolution=9\n")
     path = gen(capsys, tmp_path, "d.csv", "--config", str(config))
     assert read_dataset(path) == make_plane_dataset(DataSpec(n=20))
     model = train(capsys, tmp_path, path, "m.model", "neurofuzzy", "--config", str(config))
@@ -383,7 +406,6 @@ OPTIONS = {
         ("--algo", "algo", None, ALGOS, True),
         ("--sets", "sets", int, None, False),
         ("--out-sets", "out_sets", int, None, False),
-        ("--mf", "mf", None, ("triangular", "gaussian"), False),
         ("--width-factor", "width_factor", float, None, False),
         ("--alpha", "alpha", float, None, False),
         ("--epochs", "epochs", int, None, False),
@@ -466,7 +488,6 @@ PRECEDENCE = {
     "hi": (11.0, 10.0, 12.0),
     "sets": (9, 5, 7),
     "out_sets": (13, 9, 11),
-    "mf": (None, "triangular", "gaussian"),
     "width_factor": (0.5, 0.25, 0.75),
     "alpha": (0.1, 0.5, 0.8),
     "epochs": (50, 4, 6),

@@ -233,6 +233,21 @@ def test_dataspec_validation():
         DataSpec(n=10, domain=((5.0, 5.0), (0.0, 1.0)))
 
 
+@pytest.mark.parametrize("noise", [math.nan, math.inf])
+def test_dataspec_rejects_non_finite_noise(noise):
+    # noise_level < 0 is false for NaN, which used to generate clean data.
+    with pytest.raises(ValueError, match="noise level must be non-negative and finite"):
+        DataSpec(n=10, noise_level=noise)
+
+
+@pytest.mark.parametrize(
+    "axis", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308)]
+)
+def test_dataspec_rejects_non_finite_domain(axis):
+    with pytest.raises(ValueError, match="invalid domain range"):
+        DataSpec(n=10, domain=((0.0, 1.0), axis))
+
+
 # ---------------------------------------------------------------------------
 # file round trips
 

@@ -13,12 +13,13 @@ from fuzzgrid import (
     difference_surface,
     grid_axes,
     grid_values,
-    infer,
     make_plane_dataset,
     model_error,
     plane_truth,
     write_diff_report,
 )
+
+from oracles import center_average
 
 
 def linear_model(n=5, kind=TRIANGULAR, wf=0.5):
@@ -58,18 +59,19 @@ def test_grid_axes_validation():
         grid_axes(m3, 10)
 
 
-def test_grid_values_match_pointwise_inference():
+def test_grid_values_match_center_average_oracle():
     for model in (linear_model(kind=GAUSSIAN), sparse_model()):
         res = 13
         xs, ys = grid_axes(model, res)
         grid = grid_values(model, res)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                v = infer(model, (float(x), float(y)))
+                v = center_average(model, (float(x), float(y)))
                 if v is None:
                     assert np.isnan(grid[i, j])
                 else:
-                    assert grid[i, j] == pytest.approx(v, abs=1e-12)
+                    assert grid[i, j] == pytest.approx(v, rel=1e-12, abs=1e-12)
+    assert np.isnan(grid_values(sparse_model(), res)).any()
 
 
 def test_self_difference_is_zero():

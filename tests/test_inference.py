@@ -9,12 +9,15 @@ from fuzzgrid import (
     Dataset,
     FuzzyModel,
     Partition,
+    activations,
     cluster_learn,
     infer,
     load_model,
     rule_diff,
     save_model,
 )
+
+from oracles import center_average
 
 
 def linear_model(n=3, lo=0.0, hi=10.0):
@@ -27,7 +30,7 @@ def linear_model(n=3, lo=0.0, hi=10.0):
 
 def active_cells(model, x):
     """The cells x activates, {cell index tuple: weight}, in index order."""
-    w = model.weight_grid(x)
+    w = activations(model.input_partitions, np.array([x], dtype=float)).reshape(model.shape)
     return {tuple(idx): w[tuple(idx)] for idx in np.argwhere(w > 0.0).tolist()}
 
 
@@ -80,7 +83,8 @@ def test_infer_convexity():
         f = infer(m, (x, y))
         if f is None:
             continue
-        active = m.conclusions[(m.weight_grid((x, y)) > 0.0) & m.filled_mask()]
+        filled = m.filled_mask()
+        active = [m.conclusions[cell] for cell in active_cells(m, (x, y)) if filled[cell]]
         assert min(active) - 1e-12 <= f <= max(active) + 1e-12
 
 
@@ -89,8 +93,37 @@ def test_infer_rejects_non_finite_inputs():
     for x in ((float("nan"), 5.0), (5.0, float("inf"))):
         with pytest.raises(ValueError, match="finite"):
             infer(m, x)
-        with pytest.raises(ValueError, match="finite"):
-            m.weight_grid(x)
+
+
+def test_infer_rejects_wrong_input_count():
+    m = linear_model()
+    for x in ((5.0,), (5.0, 5.0, 5.0)):
+        with pytest.raises(ValueError, match="expected 2 inputs"):
+            infer(m, x)
+
+
+@pytest.mark.parametrize("kind", [TRIANGULAR, GAUSSIAN])
+@pytest.mark.parametrize("sets", [(4, 5), (4, 3, 5)])
+def test_infer_matches_center_average_oracle(kind, sets):
+    # Random conclusions with about 40% of the cells empty, queried inside
+    # and up to 3 units outside [0, 10] on every axis.
+    rng = np.random.default_rng(17)
+    inputs = [Partition(0, 10, n, kind, 0.4) for n in sets]
+    conclusions = rng.uniform(0, 20, size=sets)
+    conclusions[rng.uniform(size=sets) < 0.4] = np.nan
+    m = FuzzyModel(inputs, Partition(0, 20, 13, TRIANGULAR), conclusions)
+    points = rng.uniform(-3, 13, size=(300, len(sets)))
+    gaps = 0
+    for x in points:
+        ref = center_average(m, x.tolist())
+        got = infer(m, x)
+        if ref is None:
+            gaps += 1
+            assert got is None
+        else:
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    assert ((points < 0) | (points > 10)).any(axis=1).sum() > 100
+    assert gaps > 0 if kind == TRIANGULAR else gaps == 0
 
 
 def test_cluster_model_permutation_invariant():
@@ -276,6 +309,22 @@ def test_model_shape_validation():
     pout = Partition(0, 20, 13, TRIANGULAR)
     with pytest.raises(ValueError, match="does not match partitions"):
         FuzzyModel([px, py], pout, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_model_rejects_infinite_conclusions_and_degrees(value):
+    p = Partition(0, 10, 3, TRIANGULAR)
+    pout = Partition(0, 20, 13, TRIANGULAR)
+    conclusions = np.full((3, 3), 5.0)
+    conclusions[1, 2] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        FuzzyModel([p, p], pout, conclusions)
+    degrees = np.ones((3, 3))
+    degrees[2, 0] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        FuzzyModel([p, p], pout, np.full((3, 3), 5.0), degrees)
+    conclusions[1, 2] = np.nan  # NaN still marks an empty cell
+    assert FuzzyModel([p, p], pout, conclusions).empty_count() == 1
 
 
 def test_rules_listing():

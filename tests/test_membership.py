@@ -51,6 +51,22 @@ def test_partition_validation():
         Partition(0, 10, 3, "trapezoid")
 
 
+@pytest.mark.parametrize(
+    "lo,hi", [(math.nan, 10.0), (0.0, math.nan), (-math.inf, 10.0), (0.0, math.inf), (-1e308, 1e308)]
+)
+def test_partition_rejects_non_finite_range_and_span_overflow(lo, hi):
+    # lo >= hi is false for NaN, and (-1e308, 1e308) used to give centers
+    # [nan, inf, 1e308].
+    with pytest.raises(ValueError, match="invalid range"):
+        Partition(lo, hi, 3, TRIANGULAR)
+
+
+@pytest.mark.parametrize("wf", [math.nan, math.inf])
+def test_partition_rejects_non_finite_width_factor(wf):
+    with pytest.raises(ValueError, match="invalid width factor"):
+        Partition(0, 10, 3, GAUSSIAN, wf)
+
+
 def test_best_set_examples():
     p = Partition(0, 10, 3, TRIANGULAR)
     assert p.best(6.0) == 1
