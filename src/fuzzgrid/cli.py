@@ -51,26 +51,42 @@ SIMPLIFIED = "simplified"
 CLUSTER_TRI = "cluster-tri"
 CLUSTER_GAUSS = "cluster-gauss"
 NEUROFUZZY = "neurofuzzy"
-ALGORITHMS = (SIMPLIFIED, CLUSTER_TRI, CLUSTER_GAUSS, NEUROFUZZY)
 
-# Which membership kind each algorithm runs on.
+# Which membership kind each algorithm runs on, in ladder order.
 ALGO_KIND = {
     SIMPLIFIED: TRIANGULAR,
     CLUSTER_TRI: TRIANGULAR,
     CLUSTER_GAUSS: GAUSSIAN,
     NEUROFUZZY: GAUSSIAN,
 }
+ALGORITHMS = tuple(ALGO_KIND)
 
-PRESETS = (
-    "partition-sweep",
-    "noise-levels",
-    "datasize",
-    "alpha-sweep",
-    "algorithm-ladder",
-)
-
-# The dataset sizes the datasize preset sweeps; it sets n itself.
-DATASIZE_NS = (100, 400)
+# The experiment matrix of each sweep preset: in row order, the
+# ExperimentConfig fields each of its cells sets on the base config.
+PRESETS = {
+    "partition-sweep": [
+        {"algorithm": a, "input_sets": s, "noise_level": 0.10}
+        for a in ALGORITHMS
+        for s in (3, 5, 7, 9)
+    ],
+    "noise-levels": [
+        {"algorithm": CLUSTER_TRI, "input_sets": 9, "noise_level": p} for p in (0.10, 0.30)
+    ],
+    "datasize": [
+        {"algorithm": SIMPLIFIED, "input_sets": 9, "noise_level": 0.10, "n_examples": n}
+        for n in (100, 400)
+    ],
+    # K and the initialization are held fixed across the rate sweep and
+    # recorded in the output so runs stay comparable.
+    "alpha-sweep": [
+        {"algorithm": NEUROFUZZY, "input_sets": 9, "noise_level": 0.10,
+         "alpha": a, "epochs": 50, "init": INIT_CLUSTER}
+        for a in (0.1, 0.8, 0.95)
+    ],
+    "algorithm-ladder": [
+        {"algorithm": a, "input_sets": 9, "noise_level": 0.10} for a in ALGORITHMS
+    ],
+}
 
 DEFAULT_OUT_RANGE = (2.0, 22.0)
 
@@ -78,9 +94,9 @@ HEAT_RAMP = " .:-=+*#%@"
 GAP_CHAR = "?"
 
 SUMMARY_COLUMNS = (
-    "preset,algorithm,input_sets,output_sets,noise,n,alpha,epochs,init,"
-    "distribution,trials,median_rmse,median_max_abs,median_rule_changes,"
-    "median_gap_fraction"
+    "preset", "algorithm", "input_sets", "output_sets", "noise", "n", "alpha", "epochs",
+    "init", "distribution", "trials", "median_rmse", "median_max_abs",
+    "median_rule_changes", "median_gap_fraction",
 )
 
 
@@ -95,9 +111,9 @@ class ExperimentConfig:
     n_examples: int = 100
     distribution: str = UNIFORM
     seed: int = 0
-    alpha: float = 0.1
-    epochs: int = 50
-    init: str = INIT_CLUSTER
+    alpha: float = NeuroFuzzyConfig.alpha
+    epochs: int = NeuroFuzzyConfig.epochs
+    init: str = NeuroFuzzyConfig.init
     resolution: int = 50
     width_factor: float = DEFAULT_WIDTH_FACTOR
     domain: tuple = DEFAULT_DOMAIN
@@ -116,15 +132,13 @@ def build_partitions(cfg: ExperimentConfig):
 
 
 def train_model(cfg: ExperimentConfig, data) -> FuzzyModel:
-    inputs, output = build_partitions(cfg)
+    inputs, output = build_partitions(cfg)  # KeyError for an unknown algorithm
     if cfg.algorithm == SIMPLIFIED:
         return wm_learn(data, inputs, output)
     if cfg.algorithm in (CLUSTER_TRI, CLUSTER_GAUSS):
         return cluster_learn(data, inputs, output)
-    if cfg.algorithm == NEUROFUZZY:
-        nf = NeuroFuzzyConfig(alpha=cfg.alpha, epochs=cfg.epochs, init=cfg.init)
-        return neurofuzzy_learn(data, inputs, output, nf)
-    raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
+    nf = NeuroFuzzyConfig(alpha=cfg.alpha, epochs=cfg.epochs, init=cfg.init)
+    return neurofuzzy_learn(data, inputs, output, nf)
 
 
 def run_pair(cfg: ExperimentConfig, seed: int):
@@ -170,85 +184,48 @@ def run_cell(cfg: ExperimentConfig, trials: int) -> dict:
 
 
 def preset_cells(preset: str, base: ExperimentConfig, algo: str | None = None):
-    """The experiment matrix for a preset, in fixed row order."""
-    if preset == "partition-sweep":
-        algos = (algo,) if algo else ALGORITHMS
-        return [
-            replace(base, algorithm=a, input_sets=s, noise_level=0.10)
-            for a in algos
-            for s in (3, 5, 7, 9)
-        ]
-    if preset == "noise-levels":
-        return [
-            replace(base, algorithm=CLUSTER_TRI, input_sets=9, noise_level=p)
-            for p in (0.10, 0.30)
-        ]
-    if preset == "datasize":
-        return [
-            replace(
-                base,
-                algorithm=SIMPLIFIED,
-                input_sets=9,
-                noise_level=0.10,
-                n_examples=n,
-            )
-            for n in DATASIZE_NS
-        ]
-    if preset == "alpha-sweep":
-        # K and the initialization are held fixed across the rate sweep
-        # and recorded in the output so runs stay comparable.
-        return [
-            replace(
-                base,
-                algorithm=NEUROFUZZY,
-                input_sets=9,
-                noise_level=0.10,
-                alpha=a,
-                epochs=50,
-                init=INIT_CLUSTER,
-            )
-            for a in (0.1, 0.8, 0.95)
-        ]
-    if preset == "algorithm-ladder":
-        return [
-            replace(base, algorithm=a, input_sets=9, noise_level=0.10)
-            for a in ALGORITHMS
-        ]
-    raise ValueError(f"unknown preset {preset!r} (valid: {', '.join(PRESETS)})")
+    """The experiment matrix for a preset, in fixed row order, keeping
+    only algo's cells when algo is given."""
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r} (valid: {', '.join(PRESETS)})")
+    return [
+        replace(base, **cell)
+        for cell in PRESETS[preset]
+        if algo is None or cell["algorithm"] == algo
+    ]
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    return f"{value:.17g}"
+    return value if isinstance(value, str) else f"{value:.17g}"
+
+
+def _print_metrics(rmse, max_abs, gap_fraction) -> None:
+    print(f"rmse={_fmt(rmse) or 'NaN'}")
+    print(f"max_abs={_fmt(max_abs) or 'NaN'}")
+    print(f"gap_fraction={_fmt(gap_fraction)}")
 
 
 def summary_rows(preset: str, cells, trials: int) -> list:
-    rows = [SUMMARY_COLUMNS]
+    rows = [",".join(SUMMARY_COLUMNS)]
     for cfg in cells:
-        medians = run_cell(cfg, trials)
         tuned = cfg.algorithm == NEUROFUZZY
-        rows.append(
-            ",".join(
-                [
-                    preset,
-                    cfg.algorithm,
-                    str(cfg.input_sets),
-                    str(cfg.output_sets),
-                    _fmt(cfg.noise_level),
-                    str(cfg.n_examples),
-                    _fmt(cfg.alpha) if tuned else "",
-                    str(cfg.epochs) if tuned else "",
-                    cfg.init if tuned else "",
-                    cfg.distribution,
-                    str(trials),
-                    _fmt(medians["median_rmse"]),
-                    _fmt(medians["median_max_abs"]),
-                    _fmt(medians["median_rule_changes"]),
-                    _fmt(medians["median_gap_fraction"]),
-                ]
-            )
-        )
+        row = {
+            "preset": preset,
+            "algorithm": cfg.algorithm,
+            "input_sets": cfg.input_sets,
+            "output_sets": cfg.output_sets,
+            "noise": cfg.noise_level,
+            "n": cfg.n_examples,
+            "alpha": cfg.alpha if tuned else None,
+            "epochs": cfg.epochs if tuned else None,
+            "init": cfg.init if tuned else None,
+            "distribution": cfg.distribution,
+            "trials": trials,
+            **run_cell(cfg, trials),
+        }
+        rows.append(",".join(_fmt(row[column]) for column in SUMMARY_COLUMNS))
     return rows
 
 
@@ -428,13 +405,10 @@ def cmd_diff(args) -> int:
         write_diff_report(report, args.out, meta)
         _note(f"wrote report to {args.out}")
     print(render_heatmap(report))
-    rc = report.rule_changes
-    print(f"rmse={_fmt(report.rmse) or 'NaN'}")
-    print(f"max_abs={_fmt(report.max_abs) or 'NaN'}")
-    print(f"gap_fraction={_fmt(report.gap_fraction)}")
+    _print_metrics(report.rmse, report.max_abs, report.gap_fraction)
     print(
         "rules: unchanged={unchanged} changed={changed} "
-        "only_clean={only_a} only_noisy={only_b}".format(**rc)
+        "only_clean={only_a} only_noisy={only_b}".format(**report.rule_changes)
     )
     return 0
 
@@ -445,10 +419,7 @@ def cmd_eval(args) -> int:
         model = load_model(args.model)
     except (OSError, ValueError) as e:
         return _die(f"cannot load model: {e}")
-    result = model_error(model, plane_truth, resolution)
-    print(f"rmse={_fmt(result['rmse']) or 'NaN'}")
-    print(f"max_abs={_fmt(result['max_abs']) or 'NaN'}")
-    print(f"gap_fraction={_fmt(result['gap_fraction'])}")
+    _print_metrics(**model_error(model, plane_truth, resolution))
     return 0
 
 
@@ -460,7 +431,7 @@ def cmd_sweep(args) -> int:
     # A config file's n stays ignored here, so one file can serve gen and
     # every preset; an explicit flag that would be ignored is an error.
     if args.preset == "datasize" and args.n is not None:
-        sizes = " and ".join(str(n) for n in DATASIZE_NS)
+        sizes = " and ".join(str(cell["n_examples"]) for cell in PRESETS["datasize"])
         raise ValueError(f"--n does not apply to the datasize preset, which runs n = {sizes}")
     if args.algo is not None and args.preset != "partition-sweep":
         raise ValueError(f"--algo applies to the partition-sweep preset only, not {args.preset}")
@@ -530,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p, "resolution")
 
     p = command("sweep", cmd_sweep, "run a preset experiment matrix")
-    p.add_argument("preset", choices=PRESETS)
+    p.add_argument("preset", choices=tuple(PRESETS))
     p.add_argument("--algo", choices=ALGORITHMS, help="restrict partition-sweep to one algorithm")
     _add_params(p, "trials", "seed", "n", "distribution", "resolution", "width_factor")
     p.add_argument("--out", help="summary CSV path (default: standard output)")

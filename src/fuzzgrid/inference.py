@@ -124,18 +124,24 @@ def rule_diff(a: FuzzyModel, b: FuzzyModel) -> dict:
 # ---------------------------------------------------------------------------
 # plain-text serialization
 
+# The most rule cells, and output sets, a model file may describe: its two
+# dense float grids then take at most 160 MB.
+MAX_MODEL_CELLS = 10**7
+
+
 def _format_partition(role: str, p: Partition) -> str:
     return (
         f"{role} {p.kind} {p.lo:.17g} {p.hi:.17g} {p.n} {p.width_factor:.17g}"
     )
 
 
-def _parse_partition(line: str) -> tuple[str, Partition]:
+def _parse_partition(line: str) -> tuple[str, tuple]:
+    """The role and the Partition arguments of a header line."""
     parts = line.split()
     if len(parts) != 6 or parts[0] not in ("input", "output"):
         raise ValueError(f"bad partition header line: {line!r}")
     role, kind, lo, hi, n, wf = parts
-    return role, Partition(float(lo), float(hi), int(n), kind, float(wf))
+    return role, (float(lo), float(hi), int(n), kind, float(wf))
 
 
 def save_model(model: FuzzyModel, path) -> None:
@@ -162,9 +168,11 @@ def save_model(model: FuzzyModel, path) -> None:
 def load_model(path) -> FuzzyModel:
     """Read a model written by save_model.
 
-    Malformed files raise ValueError: a rule line names a cell outside
-    the grid, names a cell an earlier line already filled, or carries a
-    conclusion or degree that is not finite.
+    Malformed files raise ValueError: the headers describe a grid of
+    more than MAX_MODEL_CELLS cells or an output partition of more sets
+    (checked before anything is allocated), a rule line names a cell
+    outside the grid, names a cell an earlier line already filled, or
+    carries a conclusion or degree that is not finite.
     """
     inputs = []
     output = None
@@ -177,17 +185,26 @@ def load_model(path) -> FuzzyModel:
             if line.startswith("input ") or line.startswith("output "):
                 if body:
                     raise ValueError("partition header after rule lines")
-                role, p = _parse_partition(line)
+                role, args = _parse_partition(line)
                 if role == "input":
-                    inputs.append(p)
+                    inputs.append(args)
                 elif output is not None:
                     raise ValueError("more than one output partition")
                 else:
-                    output = p
+                    output = args
             else:
                 body.append((line_no, line))
     if not inputs or output is None:
         raise ValueError("model file lacks partition headers")
+    sizes = [args[2] for args in inputs]
+    # max(n, 1): a count below 2, which Partition rejects, must not hide a huge one
+    if max(math.prod(max(n, 1) for n in sizes), output[2]) > MAX_MODEL_CELLS:
+        raise ValueError(
+            f"model headers exceed the limit of {MAX_MODEL_CELLS} cells: "
+            f"grid {tuple(sizes)}, {output[2]} output sets"
+        )
+    inputs = [Partition(*args) for args in inputs]
+    output = Partition(*output)
     shape = tuple(p.n for p in inputs)
     conclusions = np.full(shape, np.nan)
     degrees = np.full(shape, np.nan)

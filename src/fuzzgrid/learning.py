@@ -104,17 +104,16 @@ def cluster_learn(data: Dataset, inputs, output: Partition) -> FuzzyModel:
     kinds = {p.kind for p in inputs}
     if len(kinds) != 1:
         raise ValueError("input partitions must all share one membership kind")
-    d = len(inputs)
-    mats = [p.degrees(x) for p, x in zip(inputs, data.X.T)]
-    zs = data.z
-    letters = "abcdefghij"[:d]
-    lhs = ",".join("k" + c for c in letters)
-    den = np.einsum(f"{lhs}->{letters}", *mats)
-    num = np.einsum(f"{lhs},k->{letters}", *mats, zs)
-    conclusions = np.full(tuple(p.n for p in inputs), np.nan)
+    # In place: z @ W would sum in BLAS order and change the last bits, and
+    # W * z[:, None] would allocate a second (N, cells) array.
+    W = activations(inputs, data.X)
+    den = W.sum(axis=0)
+    W *= data.z[:, None]
+    num = W.sum(axis=0)
+    conclusions = np.full(den.shape, np.nan)
     ok = den > EMPTY_WEIGHT_THRESHOLD
     conclusions[ok] = num[ok] / den[ok]
-    return FuzzyModel(inputs, output, conclusions)
+    return FuzzyModel(inputs, output, conclusions.reshape(tuple(p.n for p in inputs)))
 
 
 def neurofuzzy_learn(
@@ -195,7 +194,8 @@ def _tuning_weights(data: Dataset, inputs, flat_idx):
     C-contiguous (kept examples, len(flat_idx)) array and the kept
     targets as a float array.
     """
-    W = activations(inputs, data.X)
+    X = np.clip(data.X, [p.lo for p in inputs], [p.hi for p in inputs])
+    W = activations(inputs, X)
     if len(flat_idx) < W.shape[1]:
         # The fancy index gives a strided copy; its row sums differ from
         # sums over contiguous rows in the last bit.

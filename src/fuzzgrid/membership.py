@@ -9,12 +9,14 @@ zero, which trades the partition-of-unity property for global support.
 
 Where inputs outside [lo, hi] are clamped into range, and where not:
 
-- activations and FuzzyModel.outputs clamp, so the neuro-fuzzy
-  learner's weights, infer and grid_values see clamped inputs: an
-  out-of-range query resolves to the nearest edge region.
-- Partition.degrees does not clamp, and cluster_learn and the wm_learn
-  implication degree use it directly: an out-of-range example counts
-  less than it would at the edge, and fades to nothing far outside.
+- Partition.degrees and activations do not clamp. cluster_learn's
+  weights (activations) and the wm_learn implication degree (degrees)
+  come straight from them: an out-of-range example counts less than it
+  would at the edge, and fades to nothing far outside.
+- The neuro-fuzzy learner clamps its examples before it calls
+  activations, and FuzzyModel.outputs clamps its axes, so the tuning
+  weights, infer and grid_values see clamped inputs: an out-of-range
+  query resolves to the nearest edge region.
 - Partition.best clamps, so wm_learn's cell choice and the output-set
   quantization see clamped values.
 """
@@ -60,6 +62,14 @@ class Partition:
         self.centers = centers
         # half-base of a triangular set, sigma of a gaussian one
         self.width = self.spacing if kind == TRIANGULAR else self.width_factor * self.spacing
+        # degrees divides by the width, |x - c| / width reaches
+        # (hi - lo) / width in range, and a gaussian squares it.
+        ratio = (self.hi - self.lo) / self.width if self.width > 0 else np.inf
+        if not np.isfinite(ratio * ratio):
+            raise ValueError(
+                f"invalid set width {self.width}: need width > 0 and "
+                f"((hi - lo) / width)**2 finite"
+            )
 
     def degrees(self, x) -> np.ndarray:
         """Membership degrees of x in every set, no clamping.
@@ -115,15 +125,14 @@ class Partition:
 def activations(partitions, X) -> np.ndarray:
     """Product-t-norm weight of every grid cell for each row of X.
 
-    X has shape (N, d), one column per partition; each coordinate is
-    clamped into its partition's range first, so out-of-range inputs
-    resolve to the nearest edge region instead of fading to nothing.
-    Returns a C-contiguous (N, cells) array, cells in C order of the grid
-    (p1.n, ..., pd.n). Each weight is the left-to-right product of its
-    degrees, bit-identical to chained np.multiply.outer on one row.
+    X has shape (N, d), one column per partition; like Partition.degrees
+    it does not clamp. Returns a C-contiguous (N, cells) array, cells in C
+    order of the grid (p1.n, ..., pd.n). Each weight is the left-to-right
+    product of its degrees, bit-identical to chained np.multiply.outer on
+    one row.
     """
     W = None
-    for i, p in enumerate(partitions):
-        deg = p.degrees(np.clip(X[:, i], p.lo, p.hi))
+    for p, x in zip(partitions, X.T):
+        deg = p.degrees(x)
         W = deg if W is None else np.einsum("ni,nj->nij", W, deg).reshape(len(deg), -1)
     return W

@@ -1,6 +1,7 @@
 import argparse
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,11 +99,15 @@ def test_train_neurofuzzy_uses_gaussian(capsys, tmp_path):
         (("--algo", "simplified", "--lo", "nan"), "invalid range (nan, 11.0)"),
         (("--algo", "simplified", "--out-hi", "inf"), "invalid range"),
         (("--algo", "simplified", "--lo=-1e308", "--hi", "1e308"), "invalid range"),
+        (("--algo", "cluster-gauss", "--width-factor", "5e-324"), "invalid set width"),
+        (("--algo", "neurofuzzy", "--width-factor", "1e-300"), "invalid set width"),
     ],
 )
 def test_train_rejects_non_finite_partitions(capsys, tmp_path, flags, message):
-    # Each of these used to exit 0: a NaN width factor gave 0 rules and 81
-    # empty cells, and a NaN lo wrote a model that eval could not load.
+    # Each of these used to exit 0: a NaN width factor, or one so small that
+    # the set width underflows or ((hi - lo) / width)**2 overflows, gave 0
+    # rules and 81 empty cells, and a NaN lo wrote a model that eval could
+    # not load.
     data = gen(capsys, tmp_path, "b.csv", "--n", "100")
     out_path = tmp_path / "m.model"
     code, _, err = run(capsys, "train", str(data), str(out_path), *flags)
@@ -243,7 +248,7 @@ def test_sweep_alpha_rows(capsys, tmp_path):
     )
     assert code == 0, err
     lines = out_csv.read_text().splitlines()
-    assert lines[0] == SUMMARY_COLUMNS
+    assert lines[0] == ",".join(SUMMARY_COLUMNS)
     assert len(lines) == 4
     alphas = []
     for line in lines[1:]:
@@ -285,7 +290,7 @@ def test_sweep_stdout_and_determinism(capsys, tmp_path):
     assert code == 0
     assert out_a == out_b
     lines = out_a.splitlines()
-    assert lines[0] == SUMMARY_COLUMNS
+    assert lines[0] == ",".join(SUMMARY_COLUMNS)
     assert [line.split(",")[5] for line in lines[1:]] == ["100", "400"]
 
 
@@ -312,6 +317,46 @@ def test_sweep_datasize_rejects_n_flag_and_ignores_config_n(capsys, tmp_path):
     code, out, err = run(capsys, "sweep", "datasize", "--trials", "1", "--config", str(config))
     assert code == 0, err
     assert [line.split(",")[5] for line in out.splitlines()[1:]] == ["100", "400"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_cell_matches(got: str, want: str) -> bool:
+    """Text and integer cells match exactly, float cells to relative 1e-9:
+    np.exp may differ in the last bit between CPUs."""
+    try:
+        int(want)
+        return got == want
+    except ValueError:
+        pass
+    try:
+        return float(got) == pytest.approx(float(want), rel=1e-9, abs=0.0)
+    except ValueError:
+        return got == want
+
+
+@pytest.mark.parametrize(
+    "preset,trials",
+    [
+        ("partition-sweep", 1),
+        ("noise-levels", 2),
+        ("datasize", 2),
+        ("alpha-sweep", 2),
+        ("algorithm-ladder", 2),
+    ],
+)
+def test_sweep_reproduces_golden_summary(capsys, preset, trials):
+    code, out, err = run(capsys, "sweep", preset, "--seed", "3", "--trials", str(trials))
+    assert code == 0, err
+    want = (GOLDEN / f"{preset}.csv").read_text().splitlines()
+    got = out.splitlines()
+    assert len(got) == len(want)
+    for row, (got_row, want_row) in enumerate(zip(got, want)):
+        got_cells, want_cells = got_row.split(","), want_row.split(",")
+        assert len(got_cells) == len(want_cells), f"row {row}"
+        for column, (g, w) in enumerate(zip(got_cells, want_cells)):
+            assert _golden_cell_matches(g, w), f"row {row} column {column}: {g!r} != {w!r}"
 
 
 @pytest.mark.parametrize("preset", ["algorithm-ladder", "datasize"])

@@ -17,6 +17,8 @@ from fuzzgrid import (
     save_model,
 )
 
+from fuzzgrid.cli import main
+
 from oracles import center_average
 
 
@@ -279,6 +281,30 @@ def test_load_rejects_malformed(tmp_path):
     )
     with pytest.raises(ValueError, match="out of range"):
         load_model(bad)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        # one partition's centers would take 7.28 TiB; the grid's count is
+        # negative, so only the per-partition limit catches the first
+        "input triangular 1 11 1000000000000 0.5\ninput triangular 1 11 -1 0.5\n"
+        "output triangular 2 22 13 0.5\n",
+        "input triangular 1 11 9 0.5\ninput triangular 1 11 9 0.5\n"
+        "output triangular 2 22 1000000000000 0.5\n",
+        # every partition is small, but the grid has 10^12 cells
+        "input triangular 1 11 10000 0.5\n" * 3 + "output triangular 2 22 13 0.5\n",
+    ],
+    ids=["huge-input", "huge-output", "huge-grid"],
+)
+def test_load_rejects_oversized_headers_before_allocating(tmp_path, capsys, header):
+    # These used to raise numpy's MemoryError, and eval exited 1 with a traceback.
+    bad = tmp_path / "huge.model"
+    bad.write_text("# fuzzgrid model\n" + header + "0 0 0 5.0 1.0\n")
+    with pytest.raises(ValueError, match="exceed the limit of 10000000 cells"):
+        load_model(bad)
+    assert main(["eval", str(bad)]) == 1
+    assert "cannot load model: model headers exceed the limit" in capsys.readouterr().err
 
 
 HEADER = (

@@ -227,7 +227,7 @@ def test_cluster_conclusions_are_convex_combinations():
     assert filled.max() <= data.z.max() + 1e-12
 
 
-def test_learner_degrees_are_unclamped_activations_clamped():
+def test_learner_degrees_and_activations_unclamped_tuning_weights_clamped():
     # The policy in the membership module docstring. Sets 0 and 1 of x
     # cover [0, 5]; (-1, 5) lies outside the domain, (0, 5) is its clamped
     # twin. An anchor example at x = 2.5 with z = 0 shares cell (0, 1).
@@ -245,8 +245,17 @@ def test_learner_degrees_are_unclamped_activations_clamped():
     degree_outside = wm_learn(one((-1.0, 5.0), 10.0), inputs, out).degrees[0, 1]
     assert degree_outside == pytest.approx(0.8)
     assert wm_learn(one((0.0, 5.0), 10.0), inputs, out).degrees[0, 1] == 1.0
-    # activations, and so infer and the neuro-fuzzy weights, clamp.
-    assert np.array_equal(activations(inputs, outside.X), activations(inputs, twin.X))
+    # activations does not clamp either: it is the product of the degrees,
+    # 0.8 * 1.0 in cell (0, 1) for the outside example.
+    w_outside = activations(inputs, outside.X).reshape(2, 3, 3)
+    assert w_outside[1, 0, 1] == pytest.approx(0.8)
+    assert activations(inputs, twin.X).reshape(2, 3, 3)[1, 0, 1] == 1.0
+    # The neuro-fuzzy weights clamp, so from the flat zero initialization
+    # the outside example and its twin tune the conclusions alike.
+    ginputs, gout = gauss_parts()
+    cfg = NeuroFuzzyConfig(epochs=3, init="zero")
+    tuned = [neurofuzzy_learn(d, ginputs, gout, cfg).conclusions for d in (outside, twin)]
+    assert np.array_equal(*tuned)
 
 
 def test_cluster_rejects_mixed_kinds():

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fuzzgrid import GAUSSIAN, TRIANGULAR, Partition
+from fuzzgrid import GAUSSIAN, TRIANGULAR, Partition, activations
 
 from oracles import argmax_set, degree
 
@@ -67,6 +69,32 @@ def test_partition_rejects_non_finite_width_factor(wf):
         Partition(0, 10, 3, GAUSSIAN, wf)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0, 1, 3, GAUSSIAN, 5e-324),  # sigma underflows to 0
+        (0, 5e-324, 3, TRIANGULAR),  # the spacing underflows to 0
+        (0, 10, 9, GAUSSIAN, 1e-300),  # ((hi - lo) / sigma)**2 overflows
+        (0, 10, 9, GAUSSIAN, 1e-160),
+    ],
+)
+def test_partition_rejects_width_out_of_bounds(args):
+    # The first two used to build, then give degrees [0, 0, 0] with a
+    # divide warning and NaN degrees.
+    with pytest.raises(ValueError, match=r"need width > 0 and \(\(hi - lo\) / width\)\*\*2 finite"):
+        Partition(*args)
+
+
+def test_partition_width_at_the_bound_gives_finite_degrees():
+    # sigma 1.25e-150: (hi - lo) / sigma = 8e150, whose square is finite
+    p = Partition(0, 10, 9, GAUSSIAN, 1e-150)
+    assert p.degrees(np.array([0.0, 10.0, 3.0])).tolist() == [
+        [1.0] + [0.0] * 8,
+        [0.0] * 8 + [1.0],
+        [0.0] * 9,
+    ]
+
+
 def test_best_set_examples():
     p = Partition(0, 10, 3, TRIANGULAR)
     assert p.best(6.0) == 1
@@ -89,6 +117,29 @@ def test_partition_of_unity():
         xs = rng.uniform(1, 11, size=2000)
         sums = np.array([p.degrees(x).sum() for x in xs])
         assert np.max(np.abs(sums - 1.0)) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_triangular_activation_rows_sum_to_one(data):
+    # Centers carry the rounding of lo, about ulp(lo) / spacing relative to
+    # a set's width, so the 1e-12 gate holds for |lo| <= 100 and spacing
+    # >= 1/11; far from 0 with a small span, the sums drift further.
+    d = data.draw(st.sampled_from([2, 3]), label="inputs")
+    parts = []
+    for _ in range(d):
+        lo = data.draw(st.floats(-100, 100), label="lo")
+        span = data.draw(st.floats(1, 100), label="span")
+        n = data.draw(st.integers(2, 12), label="sets")
+        parts.append(Partition(lo, lo + span, n, TRIANGULAR))
+    rows = data.draw(st.integers(1, 20), label="rows")
+    X = np.column_stack(
+        [
+            data.draw(hnp.arrays(float, rows, elements=st.floats(p.lo, p.hi)), label="x")
+            for p in parts
+        ]
+    )
+    assert np.abs(activations(parts, X).sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_triangular_continuity():
