@@ -36,7 +36,7 @@ from .evaluation import (
     plane_truth,
     write_diff_report,
 )
-from .inference import FuzzyModel, load_model, save_model
+from .inference import MAX_MODEL_CELLS, FuzzyModel, exceeds_model_limit, load_model, save_model
 from .learning import (
     INIT_CLUSTER,
     INITS,
@@ -92,6 +92,8 @@ DEFAULT_OUT_RANGE = (2.0, 22.0)
 
 HEAT_RAMP = " .:-=+*#%@"
 GAP_CHAR = "?"
+# The heatmap's characters by bucket index; a gap is the index after the ramp.
+_HEAT_BYTES = np.frombuffer((HEAT_RAMP + GAP_CHAR).encode("ascii"), dtype=np.uint8)
 
 SUMMARY_COLUMNS = (
     "preset", "algorithm", "input_sets", "output_sets", "noise", "n", "alpha", "epochs",
@@ -121,7 +123,18 @@ class ExperimentConfig:
 
 
 def build_partitions(cfg: ExperimentConfig):
+    """The input and output partitions of cfg's model.
+
+    A grid or output partition over MAX_MODEL_CELLS, which load_model
+    would refuse, raises ValueError before any partition is built.
+    """
     kind = ALGO_KIND[cfg.algorithm]
+    sizes = [cfg.input_sets] * len(cfg.domain)
+    if exceeds_model_limit(sizes, cfg.output_sets):
+        raise ValueError(
+            f"a model of {' x '.join(map(str, sizes))} input sets and {cfg.output_sets} "
+            f"output sets exceeds the limit of {MAX_MODEL_CELLS} cells"
+        )
     inputs = [
         Partition(lo, hi, cfg.input_sets, kind, cfg.width_factor)
         for lo, hi in cfg.domain
@@ -243,10 +256,13 @@ def render_heatmap(report: DiffReport) -> str:
         edges = np.quantile(finite, np.arange(1, 10) / 10.0)
     else:
         edges = np.zeros(9)
-    chars = np.array(list(HEAT_RAMP))[np.searchsorted(edges, grid, side="left")]
-    chars[gaps] = GAP_CHAR
-    # grid rows index x, so its transpose, bottom row first, is the picture
-    return "\n".join("".join(row) for row in chars.T[::-1])
+    buckets = np.searchsorted(edges, grid, side="left")
+    buckets[gaps] = len(HEAT_RAMP)
+    # grid rows index x, so its transpose, bottom row first, is the picture;
+    # one more column ends each line
+    picture = np.full((grid.shape[1], grid.shape[0] + 1), ord("\n"), dtype=np.uint8)
+    picture[:, :-1] = _HEAT_BYTES[buckets.T[::-1]]
+    return picture.tobytes()[:-1].decode("ascii")
 
 
 # ---------------------------------------------------------------------------

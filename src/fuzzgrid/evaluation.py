@@ -12,7 +12,6 @@ them would hide exactly the pathology worth measuring.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,12 +109,14 @@ def write_diff_report(report: DiffReport, path, metadata: dict | None = None) ->
     Gap points are written as literal NaN so downstream plotting keeps
     the holes visible.
     """
+    # One x row per write: a line per y, each "x,y,diff". The row template
+    # holds every y once and a '%.17g' slot for each diff; the x text is
+    # joined in front of every line. '%.17g' renders NaN as 'nan', and no
+    # number contains those letters, so one replace gives the literal NaN.
+    lines = [""] + [f",{y:.17g},%.17g\n" for y in report.ys.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}={value}\n")
         fh.write("x,y,diff\n")
-        ys = [f"{y:.17g}" for y in report.ys.tolist()]
         for x, row in zip(report.xs.tolist(), report.diff_grid.tolist()):
-            for y, d in zip(ys, row):
-                text = "NaN" if math.isnan(d) else f"{d:.17g}"
-                fh.write(f"{x:.17g},{y},{text}\n")
+            fh.write((f"{x:.17g}".join(lines) % tuple(row)).replace("nan", "NaN"))

@@ -129,6 +129,16 @@ def rule_diff(a: FuzzyModel, b: FuzzyModel) -> dict:
 MAX_MODEL_CELLS = 10**7
 
 
+def exceeds_model_limit(sizes, output_sets) -> bool:
+    """True when a grid of sizes[i] sets on input i, or output_sets output
+    sets, is larger than MAX_MODEL_CELLS.
+
+    Counts below 1 count as 1: a count below 2, which Partition rejects,
+    must not hide a huge one.
+    """
+    return max(math.prod(max(n, 1) for n in sizes), output_sets) > MAX_MODEL_CELLS
+
+
 def _format_partition(role: str, p: Partition) -> str:
     return (
         f"{role} {p.kind} {p.lo:.17g} {p.hi:.17g} {p.n} {p.width_factor:.17g}"
@@ -155,12 +165,15 @@ def save_model(model: FuzzyModel, path) -> None:
     for p in model.input_partitions:
         lines.append(_format_partition("input", p))
     lines.append(_format_partition("output", model.output_partition))
-    for idx in np.ndindex(model.shape):
-        c = model.conclusions[idx]
-        if np.isnan(c):
-            continue
-        cells = " ".join(str(i) for i in idx)
-        lines.append(f"{cells} {float(c):.17g} {float(model.degrees[idx]):.17g}")
+    filled = model.filled_mask()
+    # argwhere and boolean indexing both walk the grid in C order
+    for idx, c, d in zip(
+        np.argwhere(filled).tolist(),
+        model.conclusions[filled].tolist(),
+        model.degrees[filled].tolist(),
+    ):
+        cells = " ".join(map(str, idx))
+        lines.append(f"{cells} {c:.17g} {d:.17g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -197,8 +210,7 @@ def load_model(path) -> FuzzyModel:
     if not inputs or output is None:
         raise ValueError("model file lacks partition headers")
     sizes = [args[2] for args in inputs]
-    # max(n, 1): a count below 2, which Partition rejects, must not hide a huge one
-    if max(math.prod(max(n, 1) for n in sizes), output[2]) > MAX_MODEL_CELLS:
+    if exceeds_model_limit(sizes, output[2]):
         raise ValueError(
             f"model headers exceed the limit of {MAX_MODEL_CELLS} cells: "
             f"grid {tuple(sizes)}, {output[2]} output sets"

@@ -23,6 +23,8 @@ Where inputs outside [lo, hi] are clamped into range, and where not:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TRIANGULAR = "triangular"
@@ -30,6 +32,10 @@ GAUSSIAN = "gaussian"
 KINDS = (TRIANGULAR, GAUSSIAN)
 
 DEFAULT_WIDTH_FACTOR = 0.5
+
+# Widths beyond the range from which every gaussian degree is 0.0:
+# exp(-30.0**2) underflows to zero.
+GAUSS_REACH = 30.0
 
 
 class Partition:
@@ -70,17 +76,29 @@ class Partition:
                 f"invalid set width {self.width}: need width > 0 and "
                 f"((hi - lo) / width)**2 finite"
             )
+        # Every gaussian degree of an input more than GAUSS_REACH widths
+        # outside the range is 0.0, so degrees clips gaussian inputs to this
+        # interval: no degree changes, and d * d stays finite. Each bound is
+        # rounded outward, so it is never nearer the range than the reach
+        # (lo - reach rounds to lo itself when reach is under half an ulp).
+        reach = GAUSS_REACH * self.width
+        self._clip = (
+            math.nextafter(self.lo - reach, -math.inf),
+            math.nextafter(self.hi + reach, math.inf),
+        )
 
     def degrees(self, x) -> np.ndarray:
         """Membership degrees of x in every set, no clamping.
 
         A scalar x gives shape (n,); an array of shape (N,) gives (N, n),
-        row k bit-identical to degrees(x[k]).
+        row k bit-identical to degrees(x[k]). On gaussian sets no finite x
+        overflows: see GAUSS_REACH.
         """
         x = np.asarray(x, dtype=float)
-        d = np.abs(x[..., None] - self.centers) / self.width
         if self.kind == TRIANGULAR:
-            return np.maximum(0.0, 1.0 - d)
+            return np.maximum(0.0, 1.0 - np.abs(x[..., None] - self.centers) / self.width)
+        lo, hi = self._clip  # np.clip costs more than the two ufuncs
+        d = np.abs(np.minimum(np.maximum(x, lo), hi)[..., None] - self.centers) / self.width
         return np.exp(-d * d)
 
     def best(self, x):

@@ -193,3 +193,58 @@ def neurofuzzy_conclusions(weights, targets, c, alpha, epochs):
             f = float(w @ c)
             c = c - alpha * (f - z) * w
     return c
+
+
+# ---------------------------------------------------------------------------
+# Per-cell text writers: the report, heatmap and model writers as they were
+# before they moved to row-at-a-time work. The library's writers must match
+# them byte for byte.
+
+HEAT_RAMP = " .:-=+*#%@"
+GAP_CHAR = "?"
+
+
+def write_diff_report(report, path, metadata=None):
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in (metadata or {}).items():
+            fh.write(f"# {key}={value}\n")
+        fh.write("x,y,diff\n")
+        ys = [f"{y:.17g}" for y in report.ys.tolist()]
+        for x, row in zip(report.xs.tolist(), report.diff_grid.tolist()):
+            for y, d in zip(ys, row):
+                text = "NaN" if math.isnan(d) else f"{d:.17g}"
+                fh.write(f"{x:.17g},{y},{text}\n")
+
+
+def render_heatmap(report):
+    grid = np.abs(report.diff_grid)
+    gaps = np.isnan(grid)
+    finite = grid[~gaps]
+    if finite.size:
+        edges = np.quantile(finite, np.arange(1, 10) / 10.0)
+    else:
+        edges = np.zeros(9)
+    chars = np.array(list(HEAT_RAMP))[np.searchsorted(edges, grid, side="left")]
+    chars[gaps] = GAP_CHAR
+    # grid rows index x, so its transpose, bottom row first, is the picture
+    return "\n".join("".join(row) for row in chars.T[::-1])
+
+
+def save_model(model, path):
+    def _format_partition(role, p):
+        return (
+            f"{role} {p.kind} {p.lo:.17g} {p.hi:.17g} {p.n} {p.width_factor:.17g}"
+        )
+
+    lines = ["# fuzzgrid model"]
+    for p in model.input_partitions:
+        lines.append(_format_partition("input", p))
+    lines.append(_format_partition("output", model.output_partition))
+    for idx in np.ndindex(model.shape):
+        c = model.conclusions[idx]
+        if np.isnan(c):
+            continue
+        cells = " ".join(str(i) for i in idx)
+        lines.append(f"{cells} {float(c):.17g} {float(model.degrees[idx]):.17g}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

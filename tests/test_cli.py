@@ -130,6 +130,50 @@ def test_train_rejects_alpha_above_two(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [("--sets", "1000000000000"), ("--sets", "4000"), ("--out-sets", "20000000")]
+)
+def test_train_refuses_models_over_the_cell_limit(capsys, tmp_path, monkeypatch, flags):
+    # --sets 10**12 used to die in numpy's _ArrayMemoryError with a
+    # traceback, and --sets 4000 wrote a 16M-cell model that eval refused.
+    data = gen(capsys, tmp_path, "d.csv", "--n", "20")
+    built = []
+    monkeypatch.setattr(cli, "Partition", lambda *args: built.append(args))
+    out_path = tmp_path / "m.model"
+    code, _, err = run(capsys, "train", str(data), str(out_path), "--algo", "simplified", *flags)
+    assert code == 1
+    assert "exceeds the limit of 10000000 cells" in err
+    assert not out_path.exists()
+    assert built == []
+
+
+@pytest.mark.parametrize("algo", ["cluster-gauss", "neurofuzzy"])
+def test_train_gaussian_takes_inputs_far_outside_the_range(capsys, tmp_path, algo):
+    # Rows at 1e200 and 1.5e308 overflowed d * d and d in Partition.degrees,
+    # a RuntimeWarning that pytest turns into an error. Their degrees are 0.
+    data = gen(capsys, tmp_path, "d.csv", "--n", "50")
+    far = tmp_path / "far.csv"
+    far.write_text(data.read_text() + "1e200,5,10\n5,-1.5e308,10\n")
+    near_model = train(capsys, tmp_path, data, "near.model", algo)
+    far_model = train(capsys, tmp_path, far, "far.model", algo)
+    if algo == "cluster-gauss":
+        assert far_model.read_bytes() == near_model.read_bytes()
+
+
+def test_train_gaussian_ignores_a_row_one_ulp_outside_the_range(capsys, tmp_path):
+    # At width factor 1e-20 the row one ulp below lo = 1 lies 1e4 widths out,
+    # so its degrees are 0 and it adds nothing; a gaussian clip bound that
+    # rounded onto lo gave it degree 1 and moved the rule's conclusion.
+    near = tmp_path / "near.csv"
+    near.write_text("x,y,z\n1,3.5,4.5\n")
+    edge = tmp_path / "edge.csv"
+    edge.write_text(near.read_text() + "0.9999999999999999,3.5,6\n")
+    wf = ("--width-factor", "1e-20")
+    near_model = train(capsys, tmp_path, near, "near.model", "cluster-gauss", *wf)
+    edge_model = train(capsys, tmp_path, edge, "edge.model", "cluster-gauss", *wf)
+    assert edge_model.read_bytes() == near_model.read_bytes()
+
+
 def test_train_missing_dataset(capsys, tmp_path):
     code, _, err = run(
         capsys, "train", str(tmp_path / "nope.csv"), str(tmp_path / "m.txt"),
@@ -230,6 +274,21 @@ def test_eval_scores_against_plane(capsys, tmp_path):
 
 # ---------------------------------------------------------------------------
 # sweep
+
+def test_sweep_refuses_models_over_the_cell_limit(capsys, tmp_path, monkeypatch):
+    # A cell whose model grid is over the limit fails before it builds a partition.
+    out_path = tmp_path / "s.csv"
+    built = []
+    monkeypatch.setattr(cli, "Partition", lambda *args: built.append(args))
+    monkeypatch.setitem(
+        cli.PRESETS, "noise-levels", [{"algorithm": "cluster-tri", "input_sets": 4000}]
+    )
+    code, out, err = run(capsys, "sweep", "noise-levels", "--trials", "1", "--out", str(out_path))
+    assert code == 1
+    assert "a model of 4000 x 4000 input sets and 13 output sets exceeds the limit" in err
+    assert not out_path.exists()
+    assert built == []
+
 
 def test_sweep_rejects_unknown_preset(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fuzzgrid import GAUSSIAN, TRIANGULAR, Partition, activations
+from fuzzgrid.membership import GAUSS_REACH
 
 from oracles import argmax_set, degree
 
@@ -93,6 +94,53 @@ def test_partition_width_at_the_bound_gives_finite_degrees():
         [0.0] * 8 + [1.0],
         [0.0] * 9,
     ]
+
+
+def test_gaussian_degrees_far_outside_the_range():
+    # d * d overflowed here from about x = 1e154, and d itself above 1.1e308;
+    # pytest turns the RuntimeWarning into an error.
+    p = Partition(1, 11, 9, GAUSSIAN)
+    far = np.array([1e200, -1e200, 1.7e308, -1.7e308])
+    assert p.degrees(far).tolist() == [[0.0] * 9] * 4
+    assert p.degrees(-1e300).tolist() == [0.0] * 9
+    assert math.exp(-(GAUSS_REACH * (1 - 1e-12)) ** 2) == 0.0
+
+
+@pytest.mark.parametrize("wf", [0.05, 0.5, 3.0])
+def test_gaussian_reach_changes_no_degree(wf):
+    # Below the overflow point the degrees are the bits of exp(-d * d).
+    p = Partition(1, 11, 9, GAUSSIAN, wf)
+    rng = np.random.default_rng(8)
+    reach = GAUSS_REACH * p.width
+    x = np.concatenate([
+        rng.uniform(-300, 300, 4000),
+        rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(0, 150, 1000),
+        [1 - reach, 11 + reach, 1 - 0.9 * reach, np.nextafter(11 + reach, np.inf)],
+    ])
+    d = np.abs(x[:, None] - p.centers) / p.width
+    assert np.array_equal(p.degrees(x), np.exp(-d * d))
+    assert all(np.array_equal(p.degrees(v), np.exp(-dv * dv)) for v, dv in zip(x[::50], d[::50]))
+
+
+@pytest.mark.parametrize(
+    "lo, hi, wf",
+    # reach is far under an ulp of lo, 0.4 ulp, 1.49 ulp (lo - reach rounds
+    # to lo - 1 ulp, 20 widths out), and far under an ulp of 1
+    [(1e6, 1e6 + 8, 1e-20), (1e6, 1e6 + 8, 1.55e-12), (1e6, 1e6 + 8, 5.78e-12), (1, 11, 1e-20)],
+)
+def test_gaussian_reach_holds_for_tiny_widths(lo, hi, wf):
+    # lo - reach and hi + reach round toward the range when reach is a few
+    # ulps or less; the clip bounds must still lie GAUSS_REACH widths out,
+    # so the degrees just outside the range stay the bits of exp(-d * d).
+    p = Partition(lo, hi, 9, GAUSSIAN, wf)
+    below, above = [lo], [hi]
+    for _ in range(6):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    x = np.array(below[1:] + above[1:] + [lo - 1.0, hi + 1.0])
+    d = np.abs(x[:, None] - p.centers) / p.width
+    assert np.array_equal(p.degrees(x), np.exp(-d * d))
+    assert all(np.array_equal(p.degrees(v), np.exp(-dv * dv)) for v, dv in zip(x, d))
 
 
 def test_best_set_examples():
