@@ -14,6 +14,7 @@ error stream, so output is safe to pipe. All randomness flows from the
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 from dataclasses import dataclass, replace
@@ -479,25 +480,30 @@ def _add_params(parser, *names, **defaults) -> None:
     parser.set_defaults(params=names, defaults=defaults)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fuzzgrid argument parser, built on the first call and reused.
+
+    It names the subcommand only; main looks up its cmd_ function when it
+    runs, so rebinding cli.cmd_* after the parser is built still takes.
+    """
     parser = argparse.ArgumentParser(
         prog="fuzzgrid",
         description="Fuzzy rule-grid learning and noise-sensitivity benchmark",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help):
+    def command(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key=value file supplying defaults")
-        p.set_defaults(func=func)
         return p
 
-    p = command("gen", cmd_gen, "generate a plane dataset CSV")
+    p = command("gen", "generate a plane dataset CSV")
     # a generated dataset is clean unless --noise says otherwise
     _add_params(p, "n", "noise", "distribution", "seed", "lo", "hi", noise=0.0)
     p.add_argument("--out", required=True, help="output CSV path")
 
-    p = command("train", cmd_train, "fit a model file from a dataset")
+    p = command("train", "fit a model file from a dataset")
     p.add_argument("dataset", help="input dataset CSV")
     p.add_argument("model", help="output model path")
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
@@ -506,17 +512,17 @@ def build_parser() -> argparse.ArgumentParser:
         "lo", "hi", "out_lo", "out_hi",
     )
 
-    p = command("diff", cmd_diff, "compare a clean/noisy model pair")
+    p = command("diff", "compare a clean/noisy model pair")
     p.add_argument("clean_model")
     p.add_argument("noisy_model")
     p.add_argument("--out", help="write the diff report CSV here")
     _add_params(p, "resolution")
 
-    p = command("eval", cmd_eval, "score a model against the analytic plane")
+    p = command("eval", "score a model against the analytic plane")
     p.add_argument("model")
     _add_params(p, "resolution")
 
-    p = command("sweep", cmd_sweep, "run a preset experiment matrix")
+    p = command("sweep", "run a preset experiment matrix")
     p.add_argument("preset", choices=tuple(PRESETS))
     p.add_argument("--algo", choices=ALGORITHMS, help="restrict partition-sweep to one algorithm")
     _add_params(p, "trials", "seed", "n", "distribution", "resolution", "width_factor")
@@ -524,10 +530,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     return parser
 
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except (OSError, ValueError) as e:
         return _die(str(e))
 

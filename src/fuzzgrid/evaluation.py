@@ -24,11 +24,20 @@ def plane_truth(x, y):
     return x + y
 
 
+# The largest grid resolution. A diff keeps about six resolution x
+# resolution float arrays alive at once (each model's numerator, denominator
+# and output, and their difference): about 45 MB at resolution 1000, so
+# about 0.8 GB at 4096, where 2**24 points take 128 MB per array.
+MAX_RESOLUTION = 4096
+
+
 def grid_axes(model: FuzzyModel, resolution: int):
     if model.dim != 2:
         raise ValueError("grid evaluation supports 2-input models only")
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
     px, py = model.input_partitions
     xs = np.linspace(px.lo, px.hi, resolution)
     ys = np.linspace(py.lo, py.hi, resolution)

@@ -76,12 +76,13 @@ class Partition:
                 f"invalid set width {self.width}: need width > 0 and "
                 f"((hi - lo) / width)**2 finite"
             )
-        # Every gaussian degree of an input more than GAUSS_REACH widths
-        # outside the range is 0.0, so degrees clips gaussian inputs to this
-        # interval: no degree changes, and d * d stays finite. Each bound is
-        # rounded outward, so it is never nearer the range than the reach
-        # (lo - reach rounds to lo itself when reach is under half an ulp).
-        reach = GAUSS_REACH * self.width
+        # Every degree of an input more than one width (triangular) or
+        # GAUSS_REACH widths (gaussian) outside the range is 0.0, so degrees
+        # clips inputs to this interval: no degree changes, and |x - c| /
+        # width (and a gaussian's d * d) stays finite. Each bound is rounded
+        # outward, so it is never nearer the range than the reach (lo - reach
+        # rounds to lo itself when reach is under half an ulp).
+        reach = (1.0 if kind == TRIANGULAR else GAUSS_REACH) * self.width
         self._clip = (
             math.nextafter(self.lo - reach, -math.inf),
             math.nextafter(self.hi + reach, math.inf),
@@ -91,14 +92,14 @@ class Partition:
         """Membership degrees of x in every set, no clamping.
 
         A scalar x gives shape (n,); an array of shape (N,) gives (N, n),
-        row k bit-identical to degrees(x[k]). On gaussian sets no finite x
-        overflows: see GAUSS_REACH.
+        row k bit-identical to degrees(x[k]). No finite x overflows: the
+        input is clipped where every degree is already 0.0 (see _clip).
         """
         x = np.asarray(x, dtype=float)
-        if self.kind == TRIANGULAR:
-            return np.maximum(0.0, 1.0 - np.abs(x[..., None] - self.centers) / self.width)
         lo, hi = self._clip  # np.clip costs more than the two ufuncs
         d = np.abs(np.minimum(np.maximum(x, lo), hi)[..., None] - self.centers) / self.width
+        if self.kind == TRIANGULAR:
+            return np.maximum(0.0, 1.0 - d)
         return np.exp(-d * d)
 
     def best(self, x):

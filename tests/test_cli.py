@@ -174,6 +174,19 @@ def test_train_gaussian_ignores_a_row_one_ulp_outside_the_range(capsys, tmp_path
     assert edge_model.read_bytes() == near_model.read_bytes()
 
 
+@pytest.mark.parametrize("algo", ["simplified", "cluster-tri"])
+def test_train_triangular_takes_inputs_far_outside_the_range(capsys, tmp_path, algo):
+    # With 30 sets |x - c| / width overflowed for a row at 1.5e308, a
+    # RuntimeWarning that pytest turns into an error. Its degrees are 0.
+    data = gen(capsys, tmp_path, "d.csv", "--n", "50")
+    far = tmp_path / "far.csv"
+    far.write_text(data.read_text() + "1.5e308,5,10\n")
+    near_model = train(capsys, tmp_path, data, "near.model", algo, "--sets", "30")
+    far_model = train(capsys, tmp_path, far, "far.model", algo, "--sets", "30")
+    if algo == "cluster-tri":
+        assert far_model.read_bytes() == near_model.read_bytes()
+
+
 def test_train_missing_dataset(capsys, tmp_path):
     code, _, err = run(
         capsys, "train", str(tmp_path / "nope.csv"), str(tmp_path / "m.txt"),
@@ -270,6 +283,23 @@ def test_eval_scores_against_plane(capsys, tmp_path):
     assert code == 0
     assert parse_metric(out, "rmse") < 0.5
     assert parse_metric(out, "gap_fraction") == 0.0
+
+
+@pytest.mark.parametrize("command", ["diff", "eval", "sweep"])
+def test_resolution_over_the_limit_exits_1(capsys, tmp_path, command):
+    # 10**5 points per axis asked numpy for 10**10-point grids.
+    clean, noisy = make_pair(capsys, tmp_path)
+    report = tmp_path / "r.csv"
+    argv = {
+        "diff": ["diff", str(clean), str(noisy), "--out", str(report)],
+        "eval": ["eval", str(clean)],
+        "sweep": ["sweep", "noise-levels", "--trials", "1", "--out", str(report)],
+    }[command]
+    code, out, err = run(capsys, *argv, "--resolution", "100000")
+    assert code == 1
+    assert "resolution must be at most 4096, got 100000" in err
+    assert out == ""
+    assert not report.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +696,26 @@ def test_resolved_values_set_their_experiment_fields():
     assert cli._experiment("simplified", values) == ExperimentConfig(
         "simplified", n_examples=30, distribution="clustered", seed=4, resolution=20
     )
+
+
+def test_main_reuses_one_parser_and_looks_up_the_command_when_it_runs(
+    capsys, tmp_path, monkeypatch
+):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(parser, *args, **kwargs):
+        parsers.append(parser)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    ran = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: ran.append(args.model) or 0)
+    assert main(["eval", "a.model"]) == 0
+    assert main(["eval", "b.model"]) == 0
+    assert ran == ["a.model", "b.model"]
+    assert len(parsers) == 2
+    assert parsers[0] is parsers[1] is cli.build_parser()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from fuzzgrid import (
     write_diff_report,
 )
 
+from fuzzgrid.evaluation import MAX_RESOLUTION
+
 from oracles import center_average
 
 
@@ -57,6 +59,13 @@ def test_grid_axes_validation():
     m3 = FuzzyModel([p, p, p], pout, np.zeros((3, 3, 3)))
     with pytest.raises(ValueError, match="2-input"):
         grid_axes(m3, 10)
+
+
+def test_grid_axes_bound_the_resolution():
+    xs, ys = grid_axes(linear_model(), MAX_RESOLUTION)
+    assert len(xs) == len(ys) == MAX_RESOLUTION == 4096
+    with pytest.raises(ValueError, match="at most 4096, got 4097"):
+        grid_axes(linear_model(), MAX_RESOLUTION + 1)
 
 
 def test_grid_values_match_center_average_oracle():

@@ -23,7 +23,7 @@ from fuzzgrid import (
     wm_learn,
 )
 
-from fuzzgrid.learning import INITS, _sweep, _tuning_weights
+from fuzzgrid.learning import _POWER_EPOCHS, INITS, _sweep, _tuning_weights
 
 from oracles import cluster_grid, neurofuzzy_conclusions, tuning_weights, wm_grid
 
@@ -403,6 +403,20 @@ def assert_matches_loop(got, ref, *inputs):
     assert error <= 1e-12 * scale + np.finfo(float).tiny
 
 
+def duplicate_runs(n, centers, seed):
+    """n examples in four runs of equal examples, each at a grid point of
+    centers x centers, with targets off the plane."""
+    rng = np.random.default_rng(seed)
+    points = rng.choice(centers, size=(4, 2))
+    z = points.sum(axis=1) + rng.uniform(-1.0, 1.0, 4)
+    counts = np.diff(np.linspace(0, n, 5).astype(int))
+    return Dataset(np.repeat(points, counts, axis=0), np.repeat(z, counts))
+
+
+# Epoch counts on both sides of the choice between the sweep and powering.
+EPOCHS = (1, _POWER_EPOCHS - 1, _POWER_EPOCHS, 50)
+
+
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 100, 1000])
 def test_neurofuzzy_matches_per_example_loop(n):
     # n straddles the 32-row blocks of the sweep.
@@ -412,12 +426,23 @@ def test_neurofuzzy_matches_per_example_loop(n):
     # leaves the other half empty, so only some cells are tuned.
     narrow = [Partition(1, 11, 9, GAUSSIAN, 0.2), Partition(1, 11, 9, GAUSSIAN, 0.2)]
     half = ((1.0, 6.0), (1.0, 11.0))
+    # Sets so narrow that an example at a center has weight 1 there and 0
+    # elsewhere: runs of equal one-hot rows, which at alpha near 2 make the
+    # block matrices of the sweep alternate in sign instead of decaying. The
+    # cluster init would start each cell at its examples' target, with
+    # nothing left to tune, so only the zero init runs there.
+    onehot = [Partition(1, 11, 9, GAUSSIAN, 0.01), Partition(1, 11, 9, GAUSSIAN, 0.01)]
+    rates = (0.1, 0.8, 0.95, 2.0)
     grids = [
-        (make_plane_dataset(DataSpec(n=n, noise_level=0.1, seed=n)), wide),
-        (make_plane_dataset(DataSpec(n=n, noise_level=0.1, domain=half, seed=n)), narrow),
+        (make_plane_dataset(DataSpec(n=n, noise_level=0.1, seed=n)), wide, INITS, rates),
+        (
+            make_plane_dataset(DataSpec(n=n, noise_level=0.1, domain=half, seed=n)),
+            narrow, INITS, rates,
+        ),
+        (duplicate_runs(n, onehot[0].centers, seed=0), onehot, ("zero",), (1.99, 2.0)),
     ]
-    for data, inputs in grids:
-        for init in INITS:
+    for data, inputs, inits, alphas in grids:
+        for init in inits:
             if init == "cluster":
                 start = cluster_learn(data, inputs, out).conclusions
             else:
@@ -427,14 +452,19 @@ def test_neurofuzzy_matches_per_example_loop(n):
             flat_idx = np.flatnonzero(~np.isnan(start).ravel())
             weights, targets = tuning_weights(data, inputs, flat_idx)
             assert len(weights) == n
-            for alpha in (0.1, 0.8, 0.95, 2.0):
-                for epochs in (1, 50):
+            if inputs is onehot:
+                assert set(np.unique(weights)) == {0.0, 1.0}
+            for alpha in alphas:
+                ref = start.copy()
+                done = 0
+                for epochs in EPOCHS:
+                    # the loop runs on from the previous count, bit for bit
+                    ref.flat[flat_idx] = neurofuzzy_conclusions(
+                        weights, targets, ref.flat[flat_idx], alpha, epochs - done
+                    )
+                    done = epochs
                     cfg = NeuroFuzzyConfig(alpha=alpha, epochs=epochs, init=init)
                     got = neurofuzzy_learn(data, inputs, out, cfg).conclusions
-                    ref = start.copy()
-                    ref.flat[flat_idx] = neurofuzzy_conclusions(
-                        weights, targets, start.flat[flat_idx], alpha, epochs
-                    )
                     filled = ~np.isnan(ref)
                     assert np.array_equal(~np.isnan(got), filled)
                     assert_matches_loop(got[filled], ref[filled])
@@ -452,7 +482,9 @@ def test_sweep_matches_per_example_loop(data):
     targets = data.draw(hnp.arrays(np.float64, rows, elements=values), label="targets")
     c = data.draw(hnp.arrays(np.float64, cells, elements=values), label="c")
     alpha = data.draw(st.floats(0.0, 2.0), label="alpha")
-    epochs = data.draw(st.integers(0, 5), label="epochs")
+    epochs = data.draw(
+        st.sampled_from([0, 1, 2, 3, 4, 5, _POWER_EPOCHS - 1, _POWER_EPOCHS, 50]), label="epochs"
+    )
     got = _sweep(W, targets, c, alpha, epochs)
     ref = neurofuzzy_conclusions(W, targets, c, alpha, epochs)
     assert_matches_loop(got, ref, c, targets)

@@ -143,6 +143,40 @@ def test_gaussian_reach_holds_for_tiny_widths(lo, hi, wf):
     assert all(np.array_equal(p.degrees(v), np.exp(-dv * dv)) for v, dv in zip(x, d))
 
 
+def test_triangular_degrees_far_outside_the_range():
+    # |x - c| / width overflowed here for x near 1e308 with 30 sets.
+    p = Partition(1, 11, 30, TRIANGULAR)
+    far = np.array([1e200, -1e200, 1.7e308, -1.7e308, np.inf, -np.inf])
+    assert p.degrees(far).tolist() == [[0.0] * 30] * 6
+    assert p.degrees(1.5e308).tolist() == [0.0] * 30
+
+
+@pytest.mark.parametrize(
+    "lo, hi, n",
+    # an ordinary range, and spacings of about 0.4 and 1.3 ulps of lo
+    [(1, 11, 9), (1e6, 1e6 + 4e-10, 9), (1e6, 1e6 + 1.2e-9, 9)],
+)
+def test_triangular_clip_changes_no_degree(lo, hi, n):
+    # Below the overflow point the degrees are the bits of the unclipped
+    # max(0, 1 - |x - c| / width), one width out and beyond included.
+    p = Partition(lo, hi, n, TRIANGULAR)
+    rng = np.random.default_rng(9)
+    below, above = [lo - p.width], [hi + p.width]
+    for _ in range(6):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    span = hi - lo
+    x = np.concatenate([
+        rng.uniform(lo - 3 * span, hi + 3 * span, 4000),
+        rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(0, 150, 1000),
+        below, above, [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)],
+    ])
+    expected = np.maximum(0.0, 1.0 - np.abs(x[:, None] - p.centers) / p.width)
+    assert np.array_equal(p.degrees(x), expected)
+    assert all(np.array_equal(p.degrees(v), e) for v, e in zip(x[::50], expected[::50]))
+    assert all(np.array_equal(p.degrees(v), e) for v, e in zip(x[-14:], expected[-14:]))
+
+
 def test_best_set_examples():
     p = Partition(0, 10, 3, TRIANGULAR)
     assert p.best(6.0) == 1
