@@ -129,9 +129,10 @@ def neurofuzzy_learn(
 
     The per-example scheduling is deliberate; it is what makes large
     learning rates chase individual noisy examples. It is kept, but run
-    in blocks of examples, and from _POWER_EPOCHS epochs on as one epoch
-    map raised to the cfg.epochs-th power (see _sweep). The result matches
-    the per-example loop to rounding rather than bit for bit.
+    in blocks of examples, and when it costs less (see _powering_pays) as
+    one epoch map raised to the cfg.epochs-th power (see _sweep). The
+    result matches the per-example loop to rounding rather than bit for
+    bit.
     """
     _check_data(data, inputs)
     _check_kind(inputs, GAUSSIAN, "neurofuzzy_learn")
@@ -163,16 +164,37 @@ _BLOCK = 32
 # on OpenBLAS) a vector epoch took 0.011 ms at 100 rows and 0.090 ms at
 # 1000, the map 0.07 and 0.66 ms, a squaring 0.02 ms: the map breaks even
 # near 14 epochs at 100 rows and near 8 at 1000, so below 16 the plain
-# blocked sweep runs.
+# blocked sweep runs. From 16 on, _powering_pays also weighs the cells.
 _POWER_EPOCHS = 16
 
-# The largest row sum of |K_b| / alpha that _blocks keeps. Rows that nearly
+# The largest row sum of |K_b| / alpha that _build keeps. Rows that nearly
 # repeat at alpha near 2 make K_b alternate in sign instead of decaying: on
 # a run of k equal one-hot rows at alpha = 2 the row sum reaches 2k - 1,
-# and the block's sums cancel away that many times the rounding. Smaller
-# blocks bound the growth; on realistic data it stays under 3 for alpha
-# below 1 and under 10 at alpha = 2.
+# and the block's sums cancel away that many times the rounding. Halving a
+# block bounds the growth. On plane data at 1000 rows no block grows past
+# this for alpha up to 1.5; at alpha = 2 about 1% of the blocks do with 9
+# gaussian sets of width factor 0.5, and about 60% with width factor 0.2.
 _GROWTH = 4.0
+
+
+def _powering_pays(rows: int, cells: int, epochs: int) -> bool:
+    """Whether building the epoch map and powering it costs less than
+    epochs passes over c; never below _POWER_EPOCHS epochs.
+
+    A pass costs about rows * cells multiply-adds and the numpy calls of
+    its blocks, the map rows * cells^2 and each squaring cells^3, so the
+    map pays only when the cells are few against the epochs and rows. The
+    weights are multiply-adds of a pass (about 0.7 ns on the host above):
+    a block's calls cost about 5000 of them, and a multiply-add in the
+    products of the map about a quarter of one, in a squaring a fifteenth.
+    Fitted to timings at 9 to 900 cells, 100 to 10^4 rows and 16 to 1000
+    epochs, where the path chosen was never 1.9 times slower than the other.
+    """
+    if epochs < _POWER_EPOCHS:
+        return False
+    one_pass = rows * cells + 5000 * -(-rows // _BLOCK)
+    powering = rows * cells**2 / 4 + (epochs.bit_length() - 1) * cells**3 / 15
+    return powering < (epochs - 1) * one_pass
 
 
 def _sweep(W, targets, c, alpha: float, epochs: int):
@@ -187,58 +209,67 @@ def _sweep(W, targets, c, alpha: float, epochs: int):
     c <- c - W_b^T K_b (W_b c - z_b) block by block.
 
     A pass is therefore one affine map c <- A c + b, with A the product
-    of the blocks' I - W_b^T K_b W_b. From _POWER_EPOCHS epochs on, _sweep
-    builds [A | b] once (see _epoch_map) and applies it epochs times by
-    binary powering, in O(log epochs) products of cells x cells matrices.
+    of the blocks' I - W_b^T K_b W_b. When _powering_pays, _sweep builds
+    [A | b] with one pass over the columns of [I | 0] and applies it
+    epochs times by binary powering, in O(log epochs) products of cells x
+    cells matrices. Otherwise it runs epochs passes over c.
     """
     if epochs == 0 or alpha == 0.0:
         return c
     blocks = _blocks(W, targets, alpha)
-    if epochs >= _POWER_EPOCHS:
-        return _power(_epoch_map(blocks, len(c)), c, epochs)
-    c = c.copy()
+    if _powering_pays(len(W), len(c), epochs):
+        return _power(_pass(blocks, np.eye(len(c), len(c) + 1)), c, epochs)
+    C = c[:, None].copy()
     for _ in range(epochs):
-        for Wb, K, zb in blocks:
-            c -= K.dot(Wb.dot(c) - zb).dot(Wb)
-    return c
+        _pass(blocks, C)
+    return C[:, 0]
 
 
-def _blocks(W, targets, alpha: float, size: int = _BLOCK):
-    """(W_b, K_b, z_b) for the rows of W in order, in blocks of size rows
+def _blocks(W, targets, alpha: float):
+    """(W_b, K_b, z_b) for the rows of W in order, in blocks of _BLOCK rows
     and one block of the rows left over.
 
-    The full blocks are a (blocks, size, cells) view of W, and all their
-    K_b come from one stacked product and one batched inverse. If any K_b
-    grows past _GROWTH, the blocks are built again at half the size.
+    The full blocks are a (blocks, _BLOCK, cells) view of W, and all their
+    K_b come from one stacked product and one batched inverse (see _build).
     """
-    full = len(W) - len(W) % size
+    full = len(W) - len(W) % _BLOCK
     stacks = [
-        (W[:full].reshape(-1, size, W.shape[1]), targets[:full].reshape(-1, size)),
+        (W[:full].reshape(-1, _BLOCK, W.shape[1]), targets[:full].reshape(-1, _BLOCK)),
         (W[None, full:], targets[None, full:]),
     ]
     blocks = []
     for Ws, zs in stacks:
-        if not Ws.size:
-            continue
-        T = np.matmul(Ws, Ws.transpose(0, 2, 1))
-        rows = np.arange(T.shape[1])
-        T *= alpha * np.tri(len(rows), k=-1)  # alpha times the strict lower triangle
-        T[:, rows, rows] = 1.0
-        K = np.linalg.inv(T)
-        K *= alpha
-        if (np.abs(K, out=T).sum(axis=2) > _GROWTH * alpha).any():
-            return _blocks(W, targets, alpha, size // 2)
-        blocks.extend(zip(Ws, K, zs))
+        if Ws.size:
+            for part in _build(Ws, zs, alpha):
+                blocks += part
     return blocks
 
 
-def _epoch_map(blocks, cells: int):
-    """[A | b], the pass of _sweep over blocks as the map c <- A c + b.
+def _build(Ws, zs, alpha: float):
+    """For each block of the stack Ws of equal blocks, the blocks that
+    replace it: itself, or if its K_b grows past _GROWTH, those of its two
+    halves, which are built together for all such blocks of the stack."""
+    T = np.matmul(Ws, Ws.transpose(0, 2, 1))
+    rows = np.arange(T.shape[1])
+    T *= alpha * np.tri(len(rows), k=-1)  # alpha times the strict lower triangle
+    T[:, rows, rows] = 1.0
+    K = np.linalg.inv(T)
+    K *= alpha
+    parts = [[block] for block in zip(Ws, K, zs)]
+    grown = np.flatnonzero((np.abs(K, out=T).sum(axis=2) > _GROWTH * alpha).any(axis=1))
+    if len(grown):
+        half = (len(rows) + 1) // 2
+        firsts = _build(Ws[grown, :half], zs[grown, :half], alpha)
+        seconds = _build(Ws[grown, half:], zs[grown, half:], alpha)
+        for i, first, second in zip(grown, firsts, seconds):
+            parts[i] = first + second
+    return parts
 
-    Each block applies the vector update to every column of [I | 0] at
-    once, its targets only to the last column.
-    """
-    C = np.eye(cells, cells + 1)
+
+def _pass(blocks, C):
+    """One pass of the block update over the columns of C, in place: the
+    targets go to the last column only. C = c[:, None] gives the pass over
+    c; C = [I | 0] gives the pass as [A | b]."""
     for Wb, K, zb in blocks:
         R = Wb.dot(C)
         R[:, -1] -= zb

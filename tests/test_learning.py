@@ -23,6 +23,7 @@ from fuzzgrid import (
     wm_learn,
 )
 
+from fuzzgrid import learning
 from fuzzgrid.learning import _POWER_EPOCHS, INITS, _sweep, _tuning_weights
 
 from oracles import cluster_grid, neurofuzzy_conclusions, tuning_weights, wm_grid
@@ -488,6 +489,21 @@ def test_sweep_matches_per_example_loop(data):
     got = _sweep(W, targets, c, alpha, epochs)
     ref = neurofuzzy_conclusions(W, targets, c, alpha, epochs)
     assert_matches_loop(got, ref, c, targets)
+
+
+@pytest.mark.parametrize(
+    "sets, epochs, powers",
+    [(9, _POWER_EPOCHS - 1, False), (9, _POWER_EPOCHS, True), (100, 50, False)],
+)
+def test_neurofuzzy_takes_the_path_that_pays(monkeypatch, sets, epochs, powers):
+    calls = []
+    monkeypatch.setattr(learning, "_power", lambda *a: calls.append(a) or a[1])
+    inputs, out = gauss_parts(n=sets)
+    data = make_plane_dataset(DataSpec(n=100, seed=0, domain=((0, 10), (0, 10))))
+    # the zero init tunes every cell: 81 or 10^4 of them, and at 10^4 one
+    # cells x cells product costs more than the 50 passes
+    neurofuzzy_learn(data, inputs, out, NeuroFuzzyConfig(epochs=epochs, init="zero"))
+    assert bool(calls) == powers
 
 
 def test_neurofuzzy_training_error_decreases():
