@@ -55,7 +55,6 @@ def grid_values(model: FuzzyModel, resolution: int) -> np.ndarray:
 
 @dataclass
 class DiffReport:
-    resolution: int
     xs: np.ndarray
     ys: np.ndarray
     diff_grid: np.ndarray
@@ -88,7 +87,6 @@ def difference_surface(clean: FuzzyModel, noisy: FuzzyModel, resolution: int = 5
     diff = grid_values(noisy, resolution) - grid_values(clean, resolution)
     rmse, max_abs, gap_fraction = _aggregate(diff)
     return DiffReport(
-        resolution=resolution,
         xs=xs,
         ys=ys,
         diff_grid=diff,

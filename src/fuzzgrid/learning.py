@@ -132,7 +132,7 @@ def neurofuzzy_learn(
     in blocks of examples, and when it costs less (see _powering_pays) as
     one epoch map raised to the cfg.epochs-th power (see _sweep). The
     result matches the per-example loop to rounding rather than bit for
-    bit.
+    bit. Raises ValueError when a tuned conclusion is not finite.
     """
     _check_data(data, inputs)
     _check_kind(inputs, GAUSSIAN, "neurofuzzy_learn")
@@ -146,7 +146,12 @@ def neurofuzzy_learn(
     c = conclusions.ravel()[flat_idx]
 
     weights, targets = _tuning_weights(data, inputs, flat_idx)
-    c = _sweep(weights, targets, c, cfg.alpha, cfg.epochs)
+    # Targets near the float limit can overflow the updates to inf and NaN,
+    # and FuzzyModel would read a NaN conclusion as an empty cell.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _sweep(weights, targets, c, cfg.alpha, cfg.epochs)
+    if not np.isfinite(c).all():
+        raise ValueError("neuro-fuzzy tuning overflowed: a tuned conclusion is not finite")
 
     out = np.full(conclusions.size, np.nan)
     out[flat_idx] = c
@@ -159,10 +164,10 @@ def neurofuzzy_learn(
 _BLOCK = 32
 
 # The fewest epochs for which _sweep builds the epoch map and powers it.
-# Building the map costs about 5 to 10 vector epochs and each squaring one
-# product of cells x cells matrices. With 81 cells (2-vCPU Xeon, numpy 2.4
-# on OpenBLAS) a vector epoch took 0.011 ms at 100 rows and 0.090 ms at
-# 1000, the map 0.07 and 0.66 ms, a squaring 0.02 ms: the map breaks even
+# Building the map costs about 5 to 10 vector epochs and each step of the
+# power one product of cells x cells matrices. With 81 cells (2-vCPU Xeon,
+# numpy 2.4 on OpenBLAS) a vector epoch took 0.011 ms at 100 rows and 0.090
+# ms at 1000, the map 0.07 and 0.66 ms, a product 0.02 ms: the map breaks even
 # near 14 epochs at 100 rows and near 8 at 1000, so below 16 the plain
 # blocked sweep runs. From 16 on, _powering_pays also weighs the cells.
 _POWER_EPOCHS = 16
@@ -182,18 +187,21 @@ def _powering_pays(rows: int, cells: int, epochs: int) -> bool:
     epochs passes over c; never below _POWER_EPOCHS epochs.
 
     A pass costs about rows * cells multiply-adds and the numpy calls of
-    its blocks, the map rows * cells^2 and each squaring cells^3, so the
+    its blocks, the map rows * cells^2, and each of the bit_length +
+    bit_count - 2 products np.linalg.matrix_power makes cells^3, so the
     map pays only when the cells are few against the epochs and rows. The
     weights are multiply-adds of a pass (about 0.7 ns on the host above):
     a block's calls cost about 5000 of them, and a multiply-add in the
-    products of the map about a quarter of one, in a squaring a fifteenth.
+    products of the map about a quarter of one, in a power's product a
+    fifteenth.
     Fitted to timings at 9 to 900 cells, 100 to 10^4 rows and 16 to 1000
     epochs, where the path chosen was never 1.9 times slower than the other.
     """
     if epochs < _POWER_EPOCHS:
         return False
     one_pass = rows * cells + 5000 * -(-rows // _BLOCK)
-    powering = rows * cells**2 / 4 + (epochs.bit_length() - 1) * cells**3 / 15
+    products = epochs.bit_length() + epochs.bit_count() - 2
+    powering = rows * cells**2 / 4 + products * cells**3 / 15
     return powering < (epochs - 1) * one_pass
 
 
@@ -209,16 +217,19 @@ def _sweep(W, targets, c, alpha: float, epochs: int):
     c <- c - W_b^T K_b (W_b c - z_b) block by block.
 
     A pass is therefore one affine map c <- A c + b, with A the product
-    of the blocks' I - W_b^T K_b W_b. When _powering_pays, _sweep builds
-    [A | b] with one pass over the columns of [I | 0] and applies it
-    epochs times by binary powering, in O(log epochs) products of cells x
-    cells matrices. Otherwise it runs epochs passes over c.
+    of the blocks' I - W_b^T K_b W_b. When _powering_pays, _sweep turns
+    the identity M into [[A, b], [0, 1]] with one pass over its first
+    cells rows, and applies np.linalg.matrix_power(M, epochs) to [c; 1]:
+    O(log epochs) products of (cells + 1) x (cells + 1) matrices.
+    Otherwise it runs epochs passes over c.
     """
     if epochs == 0 or alpha == 0.0:
         return c
     blocks = _blocks(W, targets, alpha)
     if _powering_pays(len(W), len(c), epochs):
-        return _power(_pass(blocks, np.eye(len(c), len(c) + 1)), c, epochs)
+        M = np.eye(len(c) + 1)
+        _pass(blocks, M[:-1])
+        return np.linalg.matrix_power(M, epochs)[:-1].dot(np.append(c, 1.0))
     C = c[:, None].copy()
     for _ in range(epochs):
         _pass(blocks, C)
@@ -269,27 +280,12 @@ def _build(Ws, zs, alpha: float):
 def _pass(blocks, C):
     """One pass of the block update over the columns of C, in place: the
     targets go to the last column only. C = c[:, None] gives the pass over
-    c; C = [I | 0] gives the pass as [A | b]."""
+    c; C = [I | 0], the first cells rows of the identity, gives [A | b]."""
     for Wb, K, zb in blocks:
         R = Wb.dot(C)
         R[:, -1] -= zb
         C -= Wb.T.dot(K.dot(R))
     return C
-
-
-def _power(C, c, epochs: int):
-    """c after epochs applications of c <- A c + b, C = [A | b]: the bits
-    of epochs from the lowest, squaring the map between them."""
-    m = len(c)
-    while True:
-        if epochs & 1:
-            c = C[:, :m].dot(c) + C[:, m]
-        epochs >>= 1
-        if not epochs:
-            return c
-        S = C[:, :m].dot(C)
-        S[:, m] += C[:, m]
-        C = S
 
 
 def _tuning_weights(data: Dataset, inputs, flat_idx):

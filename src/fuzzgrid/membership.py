@@ -23,8 +23,6 @@ Where inputs outside [lo, hi] are clamped into range, and where not:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 TRIANGULAR = "triangular"
@@ -32,10 +30,6 @@ GAUSSIAN = "gaussian"
 KINDS = (TRIANGULAR, GAUSSIAN)
 
 DEFAULT_WIDTH_FACTOR = 0.5
-
-# Widths beyond the range from which every gaussian degree is 0.0:
-# exp(-30.0**2) underflows to zero.
-GAUSS_REACH = 30.0
 
 
 class Partition:
@@ -69,38 +63,29 @@ class Partition:
         # half-base of a triangular set, sigma of a gaussian one
         self.width = self.spacing if kind == TRIANGULAR else self.width_factor * self.spacing
         # degrees divides by the width, |x - c| / width reaches
-        # (hi - lo) / width in range, and a gaussian squares it.
+        # (hi - lo) / width in range, and a gaussian squares it: neither may
+        # overflow for an input in range.
         ratio = (self.hi - self.lo) / self.width if self.width > 0 else np.inf
         if not np.isfinite(ratio * ratio):
             raise ValueError(
                 f"invalid set width {self.width}: need width > 0 and "
                 f"((hi - lo) / width)**2 finite"
             )
-        # Every degree of an input more than one width (triangular) or
-        # GAUSS_REACH widths (gaussian) outside the range is 0.0, so degrees
-        # clips inputs to this interval: no degree changes, and |x - c| /
-        # width (and a gaussian's d * d) stays finite. Each bound is rounded
-        # outward, so it is never nearer the range than the reach (lo - reach
-        # rounds to lo itself when reach is under half an ulp).
-        reach = (1.0 if kind == TRIANGULAR else GAUSS_REACH) * self.width
-        self._clip = (
-            math.nextafter(self.lo - reach, -math.inf),
-            math.nextafter(self.hi + reach, math.inf),
-        )
 
     def degrees(self, x) -> np.ndarray:
         """Membership degrees of x in every set, no clamping.
 
         A scalar x gives shape (n,); an array of shape (N,) gives (N, n),
-        row k bit-identical to degrees(x[k]). No finite x overflows: the
-        input is clipped where every degree is already 0.0 (see _clip).
+        row k bit-identical to degrees(x[k]). A far input may overflow
+        |x - c| / width (or a gaussian's d * d) to inf, whose degree is
+        exactly 0.0, so the overflow is not reported.
         """
         x = np.asarray(x, dtype=float)
-        lo, hi = self._clip  # np.clip costs more than the two ufuncs
-        d = np.abs(np.minimum(np.maximum(x, lo), hi)[..., None] - self.centers) / self.width
-        if self.kind == TRIANGULAR:
-            return np.maximum(0.0, 1.0 - d)
-        return np.exp(-d * d)
+        with np.errstate(over="ignore"):
+            d = np.abs(x[..., None] - self.centers) / self.width
+            if self.kind == TRIANGULAR:
+                return np.maximum(0.0, 1.0 - d)
+            return np.exp(-d * d)
 
     def best(self, x):
         """Index of the maximum-degree set for x, clamped into range.

@@ -195,6 +195,22 @@ def neurofuzzy_conclusions(weights, targets, c, alpha, epochs):
     return c
 
 
+def onehot_conclusions(cells, targets, c, alpha, epochs):
+    """neurofuzzy_conclusions for one-hot weight rows, row k putting weight
+    1 on cell cells[k]: each example moves only its own cell,
+
+        c_k <- c_k - alpha * (c_k - z),
+
+    bit-identical to the loop on floats. It is plain arithmetic on the
+    items of c, so Fraction arguments replay the loop exactly.
+    """
+    c = list(c)
+    for _ in range(epochs):
+        for k, z in zip(cells, targets):
+            c[k] = c[k] - alpha * (c[k] - z)
+    return c
+
+
 # ---------------------------------------------------------------------------
 # Per-cell text writers: the report, heatmap and model writers as they were
 # before they moved to row-at-a-time work. The library's writers must match

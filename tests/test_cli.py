@@ -130,6 +130,22 @@ def test_train_rejects_alpha_above_two(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_train_neurofuzzy_refuses_targets_that_overflow(capsys, tmp_path):
+    # Finite targets of +-1.7e308 overflowed the updates to NaN: train used
+    # to warn, write a model of 0 rules and 81 empty cells and exit 0.
+    data = tmp_path / "big.csv"
+    rows = [f"{1 + k * 0.2},{11 - k * 0.2},{(-1) ** k * 1.7e308}" for k in range(50)]
+    data.write_text("x,y,z\n" + "\n".join(rows) + "\n")
+    out_path = tmp_path / "m.model"
+    code, _, err = run(
+        capsys, "train", str(data), str(out_path), "--algo", "neurofuzzy",
+        "--init", "zero", "--alpha", "1", "--epochs", "20",
+    )
+    assert code == 1
+    assert "a tuned conclusion is not finite" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "flags", [("--sets", "1000000000000"), ("--sets", "4000"), ("--out-sets", "20000000")]
 )

@@ -1,4 +1,6 @@
 import statistics
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +28,13 @@ from fuzzgrid import (
 from fuzzgrid import learning
 from fuzzgrid.learning import _POWER_EPOCHS, INITS, _sweep, _tuning_weights
 
-from oracles import cluster_grid, neurofuzzy_conclusions, tuning_weights, wm_grid
+from oracles import (
+    cluster_grid,
+    neurofuzzy_conclusions,
+    onehot_conclusions,
+    tuning_weights,
+    wm_grid,
+)
 
 
 def tri_parts(n=3, lo=0.0, hi=10.0, out_lo=0.0, out_hi=20.0, out_n=13):
@@ -491,13 +499,117 @@ def test_sweep_matches_per_example_loop(data):
     assert_matches_loop(got, ref, c, targets)
 
 
+def test_onehot_recurrence_is_the_loop_bit_for_bit():
+    inputs = [Partition(1, 11, 9, GAUSSIAN, 0.01)] * 2
+    data = duplicate_runs(40, inputs[0].centers, seed=3)
+    W = activations(inputs, data.X)
+    assert set(np.unique(W)) == {0.0, 1.0}
+    c = np.linspace(-5.0, 30.0, 81)
+    for alpha in (0.3, 1.99, 2.0):
+        ref = neurofuzzy_conclusions(W, data.z, c, alpha, 7)
+        got = onehot_conclusions(W.argmax(axis=1), data.z.tolist(), c.tolist(), alpha, 7)
+        assert np.array_equal(np.array(got), ref)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_neurofuzzy_matches_onehot_recurrence_near_alpha_two(seed):
+    # Runs of equal one-hot rows at alpha near 2 make K_b alternate in sign
+    # (see learning._GROWTH). Long runs and many epochs pin the split of
+    # grown blocks: fixed blocks of 16 rows without it miss the loop by more
+    # than 1e-12 here, and blocks of 8 in the next test.
+    inputs = [Partition(1, 11, 9, GAUSSIAN, 0.01)] * 2
+    out = Partition(2, 22, 13, TRIANGULAR)
+    for n, counts in ((400, (50, 200)), (1000, (50, 200)), (3000, (200,))):
+        data = duplicate_runs(n, inputs[0].centers, seed)
+        W = activations(inputs, data.X)
+        assert set(np.unique(W)) == {0.0, 1.0}
+        cells = W.argmax(axis=1).tolist()
+        for alpha in (1.99, 2.0):
+            ref = [12.0] * 81
+            done = 0
+            for epochs in counts:
+                ref = onehot_conclusions(cells, data.z.tolist(), ref, alpha, epochs - done)
+                done = epochs
+                cfg = NeuroFuzzyConfig(alpha=alpha, epochs=epochs, init="zero")
+                got = neurofuzzy_learn(data, inputs, out, cfg).conclusions.ravel()
+                assert_matches_loop(got, np.array(ref), data.z)
+
+
+def test_passes_match_onehot_recurrence_at_alpha_two(monkeypatch):
+    # The passes without the epoch map: their rounding grows with rows x
+    # epochs, and from 0, far below every target, it starts large. Fixed
+    # blocks of 8 rows without the split miss the loop by more than 1e-12
+    # here, while the epoch map built from them does not.
+    monkeypatch.setattr(learning, "_powering_pays", lambda *a: False)
+    inputs = [Partition(1, 11, 9, GAUSSIAN, 0.01)] * 2
+    for seed in range(6):
+        data = duplicate_runs(400, inputs[0].centers, seed)
+        W = activations(inputs, data.X)
+        cells = W.argmax(axis=1).tolist()
+        got = np.zeros(81)
+        ref = got.tolist()
+        done = 0
+        for epochs in (_POWER_EPOCHS - 1, 50):
+            # both run on from the previous count, the passes bit for bit
+            ref = onehot_conclusions(cells, data.z.tolist(), ref, 2.0, epochs - done)
+            got = _sweep(W, data.z, got, 2.0, epochs - done)
+            done = epochs
+            assert_matches_loop(got, np.array(ref), data.z)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_matches_exact_replay_at_alpha_two(seed):
+    # Equal rows with different targets: at alpha = 2 each update
+    # c <- 2 z - c carries its rounding on undamped, so the float loop itself
+    # drifts from exact arithmetic. The reference is the loop replayed in
+    # fractions, rounded once at the end.
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(100, 300))
+    cells = [0] * rows
+    W = np.ones((rows, 1))
+    targets = rng.uniform(0.0, 10.0, rows)
+    c = rng.uniform(0.0, 10.0, 1)
+    exact = [Fraction(v) for v in c.tolist()]
+    done = 0
+    for epochs in (_POWER_EPOCHS - 1, 50):
+        exact = onehot_conclusions(
+            cells, [Fraction(z) for z in targets.tolist()], exact, Fraction(2), epochs - done
+        )
+        done = epochs
+        got = _sweep(W, targets, c, 2.0, epochs)
+        assert_matches_loop(got, np.array([float(v) for v in exact]), c, targets)
+
+
+@pytest.mark.parametrize("epochs", [1, 50])
+def test_learners_refuse_targets_that_overflow(epochs):
+    # Targets of +-1.7e308 are finite, but the updates overflow to inf and
+    # NaN. The neuro-fuzzy learner used to warn and return 0 rules and 81
+    # empty cells; now it raises, on both paths of _sweep, and no
+    # RuntimeWarning (an error under pytest) comes first.
+    rng = np.random.default_rng(0)
+    z = np.where(np.arange(50) % 2, -1.7e308, 1.7e308)
+    data = Dataset(rng.uniform(1.0, 11.0, (50, 2)), z)
+    inputs, out = gauss_parts(n=9, lo=1.0, hi=11.0)
+    assert learning._powering_pays(50, 81, epochs) == (epochs == 50)
+    cfg = NeuroFuzzyConfig(alpha=1.0, epochs=epochs, init="zero")
+    with pytest.raises(ValueError, match="a tuned conclusion is not finite"):
+        neurofuzzy_learn(data, inputs, out, cfg)
+    # cluster_learn's sums overflow to inf, never NaN, and FuzzyModel
+    # refuses inf, after numpy's overflow warning.
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="must be finite"):
+            cluster_learn(data, inputs, out)
+    assert {str(w.message) for w in seen} == {"overflow encountered in reduce"}
+
+
 @pytest.mark.parametrize(
     "sets, epochs, powers",
     [(9, _POWER_EPOCHS - 1, False), (9, _POWER_EPOCHS, True), (100, 50, False)],
 )
 def test_neurofuzzy_takes_the_path_that_pays(monkeypatch, sets, epochs, powers):
     calls = []
-    monkeypatch.setattr(learning, "_power", lambda *a: calls.append(a) or a[1])
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda *a: calls.append(a) or a[0])
     inputs, out = gauss_parts(n=sets)
     data = make_plane_dataset(DataSpec(n=100, seed=0, domain=((0, 10), (0, 10))))
     # the zero init tunes every cell: 81 or 10^4 of them, and at 10^4 one

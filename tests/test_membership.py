@@ -1,14 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fuzzgrid import GAUSSIAN, TRIANGULAR, Partition, activations
-from fuzzgrid.membership import GAUSS_REACH
+from fuzzgrid.membership import KINDS
 
 from oracles import argmax_set, degree
+
+# Widths beyond the range from which every gaussian degree is 0.0:
+# exp(-30.0**2) underflows to zero.
+GAUSS_REACH = 30.0
 
 
 def test_triangular_center_and_crossing():
@@ -97,8 +102,8 @@ def test_partition_width_at_the_bound_gives_finite_degrees():
 
 
 def test_gaussian_degrees_far_outside_the_range():
-    # d * d overflowed here from about x = 1e154, and d itself above 1.1e308;
-    # pytest turns the RuntimeWarning into an error.
+    # d * d overflows here from about x = 1e154, and d itself above 1.1e308,
+    # to a degree of 0.0; pytest turns a RuntimeWarning into an error.
     p = Partition(1, 11, 9, GAUSSIAN)
     far = np.array([1e200, -1e200, 1.7e308, -1.7e308])
     assert p.degrees(far).tolist() == [[0.0] * 9] * 4
@@ -130,8 +135,8 @@ def test_gaussian_reach_changes_no_degree(wf):
 )
 def test_gaussian_reach_holds_for_tiny_widths(lo, hi, wf):
     # lo - reach and hi + reach round toward the range when reach is a few
-    # ulps or less; the clip bounds must still lie GAUSS_REACH widths out,
-    # so the degrees just outside the range stay the bits of exp(-d * d).
+    # ulps or less; the degrees just outside the range must still be the
+    # bits of exp(-d * d).
     p = Partition(lo, hi, 9, GAUSSIAN, wf)
     below, above = [lo], [hi]
     for _ in range(6):
@@ -144,7 +149,7 @@ def test_gaussian_reach_holds_for_tiny_widths(lo, hi, wf):
 
 
 def test_triangular_degrees_far_outside_the_range():
-    # |x - c| / width overflowed here for x near 1e308 with 30 sets.
+    # |x - c| / width overflows here for x near 1e308 with 30 sets.
     p = Partition(1, 11, 30, TRIANGULAR)
     far = np.array([1e200, -1e200, 1.7e308, -1.7e308, np.inf, -np.inf])
     assert p.degrees(far).tolist() == [[0.0] * 30] * 6
@@ -157,7 +162,7 @@ def test_triangular_degrees_far_outside_the_range():
     [(1, 11, 9), (1e6, 1e6 + 4e-10, 9), (1e6, 1e6 + 1.2e-9, 9)],
 )
 def test_triangular_clip_changes_no_degree(lo, hi, n):
-    # Below the overflow point the degrees are the bits of the unclipped
+    # Below the overflow point the degrees are the bits of
     # max(0, 1 - |x - c| / width), one width out and beyond included.
     p = Partition(lo, hi, n, TRIANGULAR)
     rng = np.random.default_rng(9)
@@ -175,6 +180,44 @@ def test_triangular_clip_changes_no_degree(lo, hi, n):
     assert np.array_equal(p.degrees(x), expected)
     assert all(np.array_equal(p.degrees(v), e) for v, e in zip(x[::50], expected[::50]))
     assert all(np.array_equal(p.degrees(v), e) for v, e in zip(x[-14:], expected[-14:]))
+
+
+def formula_degrees(p, x):
+    """The degrees of x by the formula, one center at a time in Python
+    floats: an overflow gives inf, as in IEEE arithmetic."""
+    d = [abs(x - c) / p.width for c in p.centers.tolist()]
+    if p.kind == TRIANGULAR:
+        return np.array([max(0.0, 1.0 - v) for v in d])
+    return np.exp(np.array([-v * v for v in d]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_degrees_are_the_formula_for_any_input(data):
+    kind = data.draw(st.sampled_from(KINDS), label="kind")
+    lo = data.draw(st.floats(-1e9, 1e9), label="lo")
+    # spans from a few ulps of lo up, width factors down to the width bound
+    span = max(abs(lo), 1.0) * 10.0 ** data.draw(st.floats(-15.5, 3.0), label="log span")
+    n = data.draw(st.integers(2, 12), label="n")
+    wf = 10.0 ** data.draw(st.floats(-160.0, 1.0), label="log width factor")
+    try:
+        p = Partition(lo, lo + span, n, kind, wf)
+    except ValueError:
+        assume(False)
+    edge = data.draw(
+        st.sampled_from([p.lo, p.hi, p.lo - p.width, p.hi + p.width,
+                         p.lo - GAUSS_REACH * p.width, p.hi + GAUSS_REACH * p.width]),
+        label="edge",
+    )
+    near = edge
+    for _ in range(data.draw(st.integers(1, 3), label="ulps")):
+        near = np.nextafter(near, data.draw(st.sampled_from([-np.inf, np.inf])))
+    x = [near, data.draw(st.floats(allow_nan=False), label="x"), np.inf, -np.inf, 1.7e308, -1.7e308]
+    expected = np.array([formula_degrees(p, float(v)) for v in x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(p.degrees(np.array(x)), expected)
+        assert all(np.array_equal(p.degrees(v), e) for v, e in zip(x, expected))
 
 
 def test_best_set_examples():

@@ -39,7 +39,6 @@ def synthetic_report(grid):
     grid = np.asarray(grid, dtype=float)
     nx, ny = grid.shape
     return DiffReport(
-        resolution=nx,
         xs=np.linspace(1.0, 11.0, nx),
         ys=np.linspace(-3.0, 0.5, ny),
         diff_grid=grid,
