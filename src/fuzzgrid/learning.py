@@ -105,14 +105,17 @@ def cluster_learn(data: Dataset, inputs, output: Partition) -> FuzzyModel:
     if len(kinds) != 1:
         raise ValueError("input partitions must all share one membership kind")
     # In place: z @ W would sum in BLAS order and change the last bits, and
-    # W * z[:, None] would allocate a second (N, cells) array.
+    # W * z[:, None] would allocate a second (N, cells) array. Targets near
+    # the float limit overflow the sums row by row to +-inf, never NaN, and
+    # FuzzyModel refuses inf, so the overflow warning is off.
     W = activations(inputs, data.X)
     den = W.sum(axis=0)
     W *= data.z[:, None]
-    num = W.sum(axis=0)
     conclusions = np.full(den.shape, np.nan)
     ok = den > EMPTY_WEIGHT_THRESHOLD
-    conclusions[ok] = num[ok] / den[ok]
+    with np.errstate(over="ignore"):
+        num = W.sum(axis=0)
+        conclusions[ok] = num[ok] / den[ok]
     return FuzzyModel(inputs, output, conclusions.reshape(tuple(p.n for p in inputs)))
 
 

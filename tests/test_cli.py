@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuzzgrid import DataSpec, load_model, make_plane_dataset, read_dataset
@@ -130,19 +131,29 @@ def test_train_rejects_alpha_above_two(capsys, tmp_path):
     assert not out_path.exists()
 
 
-def test_train_neurofuzzy_refuses_targets_that_overflow(capsys, tmp_path):
-    # Finite targets of +-1.7e308 overflowed the updates to NaN: train used
-    # to warn, write a model of 0 rules and 81 empty cells and exit 0.
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("neurofuzzy", "--init", "zero", "--alpha", "1", "--epochs", "20"),
+         "a tuned conclusion is not finite"),
+        (("neurofuzzy", "--alpha", "1", "--epochs", "20"), "must be finite"),
+        (("cluster-gauss",), "must be finite"),
+    ],
+)
+def test_train_refuses_targets_that_overflow(capsys, tmp_path, flags, message):
+    # Finite targets of +-1.7e308 overflowed the neuro-fuzzy updates to NaN:
+    # train used to warn, write a model of 0 rules and 81 empty cells and
+    # exit 0. The cluster sums, also the default neuro-fuzzy init, overflow
+    # to inf and used to warn before the model refused it. A warning would
+    # be an error here, as it is in the CI README loop.
     data = tmp_path / "big.csv"
-    rows = [f"{1 + k * 0.2},{11 - k * 0.2},{(-1) ** k * 1.7e308}" for k in range(50)]
+    xy = np.random.default_rng(0).uniform(1.0, 11.0, (50, 2)).tolist()
+    rows = [f"{x!r},{y!r},{(-1) ** k * 1.7e308}" for k, (x, y) in enumerate(xy)]
     data.write_text("x,y,z\n" + "\n".join(rows) + "\n")
     out_path = tmp_path / "m.model"
-    code, _, err = run(
-        capsys, "train", str(data), str(out_path), "--algo", "neurofuzzy",
-        "--init", "zero", "--alpha", "1", "--epochs", "20",
-    )
+    code, _, err = run(capsys, "train", str(data), str(out_path), "--algo", *flags)
     assert code == 1
-    assert "a tuned conclusion is not finite" in err
+    assert err.startswith("error:") and message in err
     assert not out_path.exists()
 
 

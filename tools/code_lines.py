@@ -3,13 +3,12 @@
 A code line is a source line that is not blank, not a comment and not
 part of a docstring (the leading string of a module, class or function).
 
-    python3 tools/code_lines.py [package directory]
+    python3 tools/code_lines.py
 """
 
 from __future__ import annotations
 
 import ast
-import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fuzzgrid"
@@ -39,11 +38,9 @@ def code_lines(source: str) -> int:
     )
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    package = Path(args[0]) if args else PACKAGE
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
