@@ -37,7 +37,7 @@ from .evaluation import (
     plane_truth,
     write_diff_report,
 )
-from .inference import MAX_MODEL_CELLS, FuzzyModel, exceeds_model_limit, load_model, save_model
+from .inference import FuzzyModel, check_model_size, load_model, save_model
 from .learning import (
     INIT_CLUSTER,
     INITS,
@@ -130,12 +130,7 @@ def build_partitions(cfg: ExperimentConfig):
     would refuse, raises ValueError before any partition is built.
     """
     kind = ALGO_KIND[cfg.algorithm]
-    sizes = [cfg.input_sets] * len(cfg.domain)
-    if exceeds_model_limit(sizes, cfg.output_sets):
-        raise ValueError(
-            f"a model of {' x '.join(map(str, sizes))} input sets and {cfg.output_sets} "
-            f"output sets exceeds the limit of {MAX_MODEL_CELLS} cells"
-        )
+    check_model_size([cfg.input_sets] * len(cfg.domain), cfg.output_sets)
     inputs = [
         Partition(lo, hi, cfg.input_sets, kind, cfg.width_factor)
         for lo, hi in cfg.domain

@@ -70,8 +70,11 @@ class FuzzyModel:
 
         axes holds one 1-D coordinate array per input. Each is clamped into
         its partition's range, so out-of-range queries resolve to the
-        nearest edge region instead of fading to nothing.
+        nearest edge region instead of fading to nothing. An axis count
+        other than the input count raises ValueError.
         """
+        if len(axes) != self.dim:
+            raise ValueError(f"expected {self.dim} axes, got {len(axes)}")
         mats = [p.degrees(np.clip(a, p.lo, p.hi)) for p, a in zip(self.input_partitions, axes)]
         grid, cells = string.ascii_uppercase[:self.dim], string.ascii_lowercase[:self.dim]
         # "Aa,Bb,ab->AB" for two inputs: product-t-norm weights times cell values
@@ -129,14 +132,18 @@ def rule_diff(a: FuzzyModel, b: FuzzyModel) -> dict:
 MAX_MODEL_CELLS = 10**7
 
 
-def exceeds_model_limit(sizes, output_sets) -> bool:
-    """True when a grid of sizes[i] sets on input i, or output_sets output
-    sets, is larger than MAX_MODEL_CELLS.
+def check_model_size(sizes, output_sets) -> None:
+    """Raise ValueError when a grid of sizes[i] sets on input i, or
+    output_sets output sets, is larger than MAX_MODEL_CELLS.
 
     Counts below 1 count as 1: a count below 2, which Partition rejects,
     must not hide a huge one.
     """
-    return max(math.prod(max(n, 1) for n in sizes), output_sets) > MAX_MODEL_CELLS
+    if max(math.prod(max(n, 1) for n in sizes), output_sets) > MAX_MODEL_CELLS:
+        raise ValueError(
+            f"a model of {' x '.join(map(str, sizes))} input sets and {output_sets} "
+            f"output sets exceeds the limit of {MAX_MODEL_CELLS} cells"
+        )
 
 
 def _format_partition(role: str, p: Partition) -> str:
@@ -209,12 +216,7 @@ def load_model(path) -> FuzzyModel:
                 body.append((line_no, line))
     if not inputs or output is None:
         raise ValueError("model file lacks partition headers")
-    sizes = [args[2] for args in inputs]
-    if exceeds_model_limit(sizes, output[2]):
-        raise ValueError(
-            f"model headers exceed the limit of {MAX_MODEL_CELLS} cells: "
-            f"grid {tuple(sizes)}, {output[2]} output sets"
-        )
+    check_model_size([args[2] for args in inputs], output[2])
     inputs = [Partition(*args) for args in inputs]
     output = Partition(*output)
     shape = tuple(p.n for p in inputs)

@@ -166,15 +166,6 @@ def neurofuzzy_learn(
 # blocks suit one-epoch runs on many rows and large ones many epochs on few.
 _BLOCK = 32
 
-# The fewest epochs for which _sweep builds the epoch map and powers it.
-# Building the map costs about 5 to 10 vector epochs and each step of the
-# power one product of cells x cells matrices. With 81 cells (2-vCPU Xeon,
-# numpy 2.4 on OpenBLAS) a vector epoch took 0.011 ms at 100 rows and 0.090
-# ms at 1000, the map 0.07 and 0.66 ms, a product 0.02 ms: the map breaks even
-# near 14 epochs at 100 rows and near 8 at 1000, so below 16 the plain
-# blocked sweep runs. From 16 on, _powering_pays also weighs the cells.
-_POWER_EPOCHS = 16
-
 # The largest row sum of |K_b| / alpha that _build keeps. Rows that nearly
 # repeat at alpha near 2 make K_b alternate in sign instead of decaying: on
 # a run of k equal one-hot rows at alpha = 2 the row sum reaches 2k - 1,
@@ -187,21 +178,22 @@ _GROWTH = 4.0
 
 def _powering_pays(rows: int, cells: int, epochs: int) -> bool:
     """Whether building the epoch map and powering it costs less than
-    epochs passes over c; never below _POWER_EPOCHS epochs.
+    epochs passes over c. Never at 1 epoch, where the passes are one pass.
 
     A pass costs about rows * cells multiply-adds and the numpy calls of
     its blocks, the map rows * cells^2, and each of the bit_length +
     bit_count - 2 products np.linalg.matrix_power makes cells^3, so the
     map pays only when the cells are few against the epochs and rows. The
-    weights are multiply-adds of a pass (about 0.7 ns on the host above):
-    a block's calls cost about 5000 of them, and a multiply-add in the
-    products of the map about a quarter of one, in a power's product a
-    fifteenth.
+    weights are multiply-adds of a pass (about 0.7 ns on a 2-vCPU Xeon,
+    numpy 2.4 on OpenBLAS): a block's calls cost about 5000 of them, and a
+    multiply-add in the products of the map about a quarter of one, in a
+    power's product a fifteenth. Since the products follow the bits of
+    epochs, the choice is not monotone in epochs.
     Fitted to timings at 9 to 900 cells, 100 to 10^4 rows and 16 to 1000
-    epochs, where the path chosen was never 1.9 times slower than the other.
+    epochs, where the path chosen was never 1.9 times slower than the other;
+    at 4 to 289 cells, 30 to 3000 rows and 2 to 15 epochs it was more than
+    1.3 times slower in 3 or 4 of 315 shapes, and at most 1.62 times.
     """
-    if epochs < _POWER_EPOCHS:
-        return False
     one_pass = rows * cells + 5000 * -(-rows // _BLOCK)
     products = epochs.bit_length() + epochs.bit_count() - 2
     powering = rows * cells**2 / 4 + products * cells**3 / 15
@@ -223,8 +215,8 @@ def _sweep(W, targets, c, alpha: float, epochs: int):
     of the blocks' I - W_b^T K_b W_b. When _powering_pays, _sweep turns
     the identity M into [[A, b], [0, 1]] with one pass over its first
     cells rows, and applies np.linalg.matrix_power(M, epochs) to [c; 1]:
-    O(log epochs) products of (cells + 1) x (cells + 1) matrices.
-    Otherwise it runs epochs passes over c.
+    O(log epochs) products of (cells + 1) x (cells + 1) matrices, at
+    any epoch count. Otherwise it runs epochs passes over c.
     """
     if epochs == 0 or alpha == 0.0:
         return c
@@ -239,7 +231,7 @@ def _sweep(W, targets, c, alpha: float, epochs: int):
     return C[:, 0]
 
 
-def _blocks(W, targets, alpha: float):
+def _blocks(W, z, alpha: float):
     """(W_b, K_b, z_b) for the rows of W in order, in blocks of _BLOCK rows
     and one block of the rows left over.
 
@@ -247,16 +239,10 @@ def _blocks(W, targets, alpha: float):
     K_b come from one stacked product and one batched inverse (see _build).
     """
     full = len(W) - len(W) % _BLOCK
-    stacks = [
-        (W[:full].reshape(-1, _BLOCK, W.shape[1]), targets[:full].reshape(-1, _BLOCK)),
-        (W[None, full:], targets[None, full:]),
-    ]
-    blocks = []
-    for Ws, zs in stacks:
-        if Ws.size:
-            for part in _build(Ws, zs, alpha):
-                blocks += part
-    return blocks
+    parts = _build(W[:full].reshape(-1, _BLOCK, W.shape[1]), z[:full].reshape(-1, _BLOCK), alpha)
+    if full < len(W):
+        parts += _build(W[None, full:], z[None, full:], alpha)
+    return [block for part in parts for block in part]
 
 
 def _build(Ws, zs, alpha: float):

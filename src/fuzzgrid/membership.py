@@ -133,8 +133,10 @@ def activations(partitions, X) -> np.ndarray:
     it does not clamp. Returns a C-contiguous (N, cells) array, cells in C
     order of the grid (p1.n, ..., pd.n). Each weight is the left-to-right
     product of its degrees, bit-identical to chained np.multiply.outer on
-    one row.
+    one row. An X of any other shape raises ValueError.
     """
+    if X.ndim != 2 or X.shape[1] != len(partitions):
+        raise ValueError(f"X must have shape (N, {len(partitions)}), got {X.shape}")
     W = None
     for p, x in zip(partitions, X.T):
         deg = p.degrees(x)

@@ -104,6 +104,15 @@ def test_infer_rejects_wrong_input_count():
             infer(m, x)
 
 
+def test_outputs_rejects_wrong_axis_count():
+    # Three axes on a 2-input model used to give a value, the third ignored.
+    m = linear_model()
+    axes = [np.array([5.0])] * 3
+    for count in (1, 3):
+        with pytest.raises(ValueError, match=f"expected 2 axes, got {count}"):
+            m.outputs(axes[:count])
+
+
 @pytest.mark.parametrize("kind", [TRIANGULAR, GAUSSIAN])
 @pytest.mark.parametrize("sets", [(4, 5), (4, 3, 5)])
 def test_infer_matches_center_average_oracle(kind, sets):
@@ -301,10 +310,11 @@ def test_load_rejects_oversized_headers_before_allocating(tmp_path, capsys, head
     # These used to raise numpy's MemoryError, and eval exited 1 with a traceback.
     bad = tmp_path / "huge.model"
     bad.write_text("# fuzzgrid model\n" + header + "0 0 0 5.0 1.0\n")
-    with pytest.raises(ValueError, match="exceed the limit of 10000000 cells"):
+    with pytest.raises(ValueError, match="exceeds the limit of 10000000 cells"):
         load_model(bad)
     assert main(["eval", str(bad)]) == 1
-    assert "cannot load model: model headers exceed the limit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot load model: a model of " in err and "output sets exceeds the limit" in err
 
 
 HEADER = (

@@ -25,7 +25,7 @@ from fuzzgrid import (
 )
 
 from fuzzgrid import learning
-from fuzzgrid.learning import _POWER_EPOCHS, INITS, _sweep, _tuning_weights
+from fuzzgrid.learning import INITS, _powering_pays, _sweep, _tuning_weights
 
 from oracles import (
     cluster_grid,
@@ -421,13 +421,26 @@ def duplicate_runs(n, centers, seed):
     return Dataset(np.repeat(points, counts, axis=0), np.repeat(z, counts))
 
 
-# Epoch counts on both sides of the choice between the sweep and powering.
-EPOCHS = (1, _POWER_EPOCHS - 1, _POWER_EPOCHS, 50)
+def epochs_on_both_paths(rows, cells):
+    """Rising epoch counts up to 50 on both sides of the choice between the
+    passes and powering: 1, the first count that powers, the one before it,
+    and 50."""
+    first = next(e for e in range(1, 51) if _powering_pays(rows, cells, e))
+    return sorted({1, first - 1, first, 50})
+
+
+def spy_matrix_power(monkeypatch):
+    """A list that grows by one on each np.linalg.matrix_power call."""
+    calls = []
+    matrix_power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda *a: calls.append(a) or matrix_power(*a))
+    return calls
 
 
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 100, 1000])
-def test_neurofuzzy_matches_per_example_loop(n):
+def test_neurofuzzy_matches_per_example_loop(monkeypatch, n):
     # n straddles the 32-row blocks of the sweep.
+    powered = spy_matrix_power(monkeypatch)
     out = Partition(2, 22, 13, TRIANGULAR)
     wide = [Partition(1, 11, 9, GAUSSIAN), Partition(1, 11, 9, GAUSSIAN)]
     # Narrow sets over data in one half of the domain: the cluster init
@@ -462,20 +475,28 @@ def test_neurofuzzy_matches_per_example_loop(n):
             assert len(weights) == n
             if inputs is onehot:
                 assert set(np.unique(weights)) == {0.0, 1.0}
+            shape = (n, len(flat_idx))
+            counts = epochs_on_both_paths(*shape)
             for alpha in alphas:
                 ref = start.copy()
                 done = 0
-                for epochs in EPOCHS:
+                paths = []
+                for epochs in counts:
                     # the loop runs on from the previous count, bit for bit
                     ref.flat[flat_idx] = neurofuzzy_conclusions(
                         weights, targets, ref.flat[flat_idx], alpha, epochs - done
                     )
                     done = epochs
                     cfg = NeuroFuzzyConfig(alpha=alpha, epochs=epochs, init=init)
+                    calls = len(powered)
                     got = neurofuzzy_learn(data, inputs, out, cfg).conclusions
+                    paths.append(len(powered) > calls)
                     filled = ~np.isnan(ref)
                     assert np.array_equal(~np.isnan(got), filled)
                     assert_matches_loop(got[filled], ref[filled])
+                # both paths ran, each where _powering_pays chose it
+                assert paths == [_powering_pays(*shape, e) for e in counts]
+                assert set(paths) == {False, True}
 
 
 @settings(max_examples=200, deadline=None)
@@ -490,12 +511,15 @@ def test_sweep_matches_per_example_loop(data):
     targets = data.draw(hnp.arrays(np.float64, rows, elements=values), label="targets")
     c = data.draw(hnp.arrays(np.float64, cells, elements=values), label="c")
     alpha = data.draw(st.floats(0.0, 2.0), label="alpha")
-    epochs = data.draw(
-        st.sampled_from([0, 1, 2, 3, 4, 5, _POWER_EPOCHS - 1, _POWER_EPOCHS, 50]), label="epochs"
-    )
-    got = _sweep(W, targets, c, alpha, epochs)
+    epochs = data.draw(st.sampled_from([0, 1, 2, 3, 4, 5, 15, 16, 50]), label="epochs")
     ref = neurofuzzy_conclusions(W, targets, c, alpha, epochs)
-    assert_matches_loop(got, ref, c, targets)
+    # With this few cells powering pays from 2 epochs on, so both paths are
+    # forced in turn.
+    for pays in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learning, "_powering_pays", lambda *a: pays)
+            got = _sweep(W, targets, c, alpha, epochs)
+        assert_matches_loop(got, ref, c, targets)
 
 
 def test_onehot_recurrence_is_the_loop_bit_for_bit():
@@ -548,7 +572,7 @@ def test_passes_match_onehot_recurrence_at_alpha_two(monkeypatch):
         got = np.zeros(81)
         ref = got.tolist()
         done = 0
-        for epochs in (_POWER_EPOCHS - 1, 50):
+        for epochs in (15, 50):
             # both run on from the previous count, the passes bit for bit
             ref = onehot_conclusions(cells, data.z.tolist(), ref, 2.0, epochs - done)
             got = _sweep(W, data.z, got, 2.0, epochs - done)
@@ -557,11 +581,12 @@ def test_passes_match_onehot_recurrence_at_alpha_two(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_sweep_matches_exact_replay_at_alpha_two(seed):
+def test_sweep_matches_exact_replay_at_alpha_two(monkeypatch, seed):
     # Equal rows with different targets: at alpha = 2 each update
     # c <- 2 z - c carries its rounding on undamped, so the float loop itself
     # drifts from exact arithmetic. The reference is the loop replayed in
-    # fractions, rounded once at the end.
+    # fractions, rounded once at the end. One cell powers from 2 epochs on,
+    # so both paths are forced in turn.
     rng = np.random.default_rng(seed)
     rows = int(rng.integers(100, 300))
     cells = [0] * rows
@@ -570,13 +595,15 @@ def test_sweep_matches_exact_replay_at_alpha_two(seed):
     c = rng.uniform(0.0, 10.0, 1)
     exact = [Fraction(v) for v in c.tolist()]
     done = 0
-    for epochs in (_POWER_EPOCHS - 1, 50):
+    for epochs in (15, 50):
         exact = onehot_conclusions(
             cells, [Fraction(z) for z in targets.tolist()], exact, Fraction(2), epochs - done
         )
         done = epochs
-        got = _sweep(W, targets, c, 2.0, epochs)
-        assert_matches_loop(got, np.array([float(v) for v in exact]), c, targets)
+        for pays in (False, True):
+            monkeypatch.setattr(learning, "_powering_pays", lambda *a: pays)
+            got = _sweep(W, targets, c, 2.0, epochs)
+            assert_matches_loop(got, np.array([float(v) for v in exact]), c, targets)
 
 
 @pytest.mark.parametrize("epochs", [1, 50])
@@ -603,15 +630,26 @@ def test_learners_refuse_targets_that_overflow(epochs):
 
 @pytest.mark.parametrize(
     "sets, epochs, powers",
-    [(9, _POWER_EPOCHS - 1, False), (9, _POWER_EPOCHS, True), (100, 50, False)],
+    [
+        (9, 1, False),
+        (9, 11, False),
+        (9, 12, True),
+        (9, 13, False),
+        (9, 14, True),
+        (9, 15, True),
+        (9, 16, True),
+        (100, 50, False),
+    ],
 )
 def test_neurofuzzy_takes_the_path_that_pays(monkeypatch, sets, epochs, powers):
-    calls = []
-    monkeypatch.setattr(np.linalg, "matrix_power", lambda *a: calls.append(a) or a[0])
+    calls = spy_matrix_power(monkeypatch)
     inputs, out = gauss_parts(n=sets)
     data = make_plane_dataset(DataSpec(n=100, seed=0, domain=((0, 10), (0, 10))))
-    # the zero init tunes every cell: 81 or 10^4 of them, and at 10^4 one
-    # cells x cells product costs more than the 50 passes
+    # The zero init tunes every cell: 81 or 10^4 of them, and at 10^4 one
+    # cells x cells product costs more than the 50 passes. The choice is not
+    # monotone in the epochs: powering to 13 takes one product more than to
+    # 12 (13 has three bits set), which costs more than the pass it saves.
+    assert _powering_pays(100, sets**2, epochs) == powers
     neurofuzzy_learn(data, inputs, out, NeuroFuzzyConfig(epochs=epochs, init="zero"))
     assert bool(calls) == powers
 

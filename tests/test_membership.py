@@ -244,6 +244,20 @@ def test_partition_of_unity():
         assert np.max(np.abs(sums - 1.0)) < 1e-12
 
 
+def test_activations_reject_x_of_the_wrong_shape():
+    # Three partitions over two columns used to give 9 cells per row, and two
+    # partitions over three columns ignored the third.
+    p = Partition(0, 10, 3, TRIANGULAR)
+    X = np.full((4, 2), 5.0)
+    with pytest.raises(ValueError, match=r"X must have shape \(N, 3\), got \(4, 2\)"):
+        activations([p, p, p], X)
+    with pytest.raises(ValueError, match=r"X must have shape \(N, 2\), got \(4, 3\)"):
+        activations([p, p], np.full((4, 3), 5.0))
+    with pytest.raises(ValueError, match=r"X must have shape \(N, 2\), got \(2,\)"):
+        activations([p, p], X[0])
+    assert activations([p, p], X).shape == (4, 9)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_triangular_activation_rows_sum_to_one(data):
