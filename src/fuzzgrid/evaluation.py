@@ -24,10 +24,12 @@ def plane_truth(x, y):
     return x + y
 
 
-# The largest grid resolution. A diff keeps about six resolution x
-# resolution float arrays alive at once (each model's numerator, denominator
-# and output, and their difference): about 45 MB at resolution 1000, so
-# about 0.8 GB at 4096, where 2**24 points take 128 MB per array.
+# The largest grid resolution. A diff keeps at most five resolution x
+# resolution float arrays alive at once (one model's output while the
+# other's numerator and denominator are summed, with a window term's
+# weights and table values): about 40 MB at resolution 1000 and 0.7 GB at
+# 4096, where 2**24 points take 128 MB per array. A resolution-4096 diff
+# of two 9-set triangular models peaked at 677 MB resident.
 MAX_RESOLUTION = 4096
 
 
@@ -84,7 +86,7 @@ def difference_surface(clean: FuzzyModel, noisy: FuzzyModel, resolution: int = 5
                 f"input domains differ: [{pa.lo}, {pa.hi}] vs [{pb.lo}, {pb.hi}]"
             )
     xs, ys = grid_axes(clean, resolution)
-    diff = grid_values(noisy, resolution) - grid_values(clean, resolution)
+    diff = noisy.outputs((xs, ys)) - clean.outputs((xs, ys))
     rmse, max_abs, gap_fraction = _aggregate(diff)
     return DiffReport(
         xs=xs,
@@ -104,9 +106,8 @@ def model_error(model: FuzzyModel, truth, resolution: int = 50) -> dict:
     and y of shape (1, resolution).
     """
     xs, ys = grid_axes(model, resolution)
-    values = grid_values(model, resolution)
     target = truth(xs[:, None], ys[None, :])
-    rmse, max_abs, gap_fraction = _aggregate(values - target)
+    rmse, max_abs, gap_fraction = _aggregate(model.outputs((xs, ys)) - target)
     return {"rmse": rmse, "max_abs": max_abs, "gap_fraction": gap_fraction}
 
 

@@ -17,6 +17,7 @@ from fuzzgrid import (
     save_model,
 )
 
+from fuzzgrid import inference
 from fuzzgrid.cli import main
 
 from oracles import center_average
@@ -377,3 +378,138 @@ def test_rules_listing():
     assert holed.rule_count() == 8 and holed.empty_count() == 1
     assert np.argwhere(holed.filled_mask()).tolist()[0] == [0, 1]
     assert np.isnan(holed.degrees[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# the support-window sum of FuzzyModel.outputs
+
+
+def window_matches_einsum(mats, table):
+    """The window sum and the einsum of one table, compared bit for bit
+    (int64 views, so NaN and the sign of zero count too)."""
+    firsts, widths = inference._support_windows(mats)
+    (got,) = inference._window_sums(mats, firsts, widths, [table])
+    want = inference._einsum_sum(mats, table)
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def degree_mats(partitions, axes):
+    return [p.degrees(np.clip(a, p.lo, p.hi)) for p, a in zip(partitions, axes)]
+
+
+def test_window_is_three_wide_where_centers_round():
+    # lo + spacing * i rounds, so at its own centers this partition gives a
+    # neighbour a degree of 1.1e-16: a third nonzero column in some rows.
+    p = Partition(0.1, 0.7, 7, TRIANGULAR)
+    mats = degree_mats([p, p], [p.centers, p.centers])
+    assert inference._support_windows(mats)[1] == [3, 3]
+    table = np.random.default_rng(3).normal(size=(7, 7))
+    assert window_matches_einsum(mats, table)
+
+
+@pytest.mark.parametrize("sets", [(9, 9), (2, 12), (12, 2), (5, 9, 4), (2, 2, 8)])
+def test_window_sum_is_bit_identical_to_einsum(sets):
+    # Points inside and up to 3 units outside [0, 10], three to seven per axis.
+    rng = np.random.default_rng(sum(sets))
+    parts = [Partition(0, 10, n, TRIANGULAR) for n in sets]
+    table = rng.normal(size=sets) * 10.0 ** rng.integers(-4, 5, size=sets)
+    table[rng.uniform(size=sets) < 0.3] = 0.0
+    for _ in range(20):
+        axes = [rng.uniform(-3, 13, size=rng.integers(3, 8)) for _ in sets]
+        assert window_matches_einsum(degree_mats(parts, axes), table)
+
+
+def test_window_of_a_narrow_gaussian():
+    # sigma = 0.08 spacing: a degree underflows to 0 from 3 spacings out,
+    # so 5 of the 30 columns are nonzero.
+    p = Partition(0, 1, 30, GAUSSIAN, 0.08)
+    axis = np.linspace(0, 1, 50)
+    mats = degree_mats([p, p], [axis, axis])
+    assert inference._support_windows(mats)[1] == [5, 5]
+    table = np.random.default_rng(8).uniform(0, 20, size=(30, 30))
+    assert window_matches_einsum(mats, table)
+
+
+def test_zero_row_stays_a_gap_and_does_not_widen_the_window():
+    # sigma = 0.01 spacing: between two centers every degree underflows to 0.
+    p = Partition(0, 1, 9, GAUSSIAN, 0.01)
+    axis = np.linspace(0, 1, 50)
+    mats = degree_mats([p, p], [axis, axis])
+    zero_rows = ~mats[0].any(axis=1)
+    assert zero_rows.sum() > 10
+    assert inference._support_windows(mats)[1] == [1, 1]
+    m = FuzzyModel([p, p], Partition(0, 20, 13, TRIANGULAR), np.full((9, 9), 5.0))
+    out = m.outputs([axis, axis])
+    # (products of two tiny degrees underflow to 0 and make more gaps)
+    assert np.isnan(out[zero_rows]).all() and np.isnan(out[:, zero_rows]).all()
+    assert not np.isnan(out).all()
+    assert window_matches_einsum(mats, np.ones((9, 9)))
+    assert window_matches_einsum(mats, m.conclusions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    draw=st.data(),
+    # at most 4096 cells
+    sets=st.one_of(
+        st.lists(st.integers(2, 64), min_size=2, max_size=2),
+        st.lists(st.integers(2, 16), min_size=3, max_size=3),
+    ),
+)
+def test_window_sum_matches_einsum_on_random_triangular_partitions(draw, sets):
+    parts = []
+    for n in sets:
+        lo = draw.draw(st.floats(-1e3, 1e3))
+        span = draw.draw(st.floats(1e-3, 1e3))
+        parts.append(Partition(lo, lo + span, n, TRIANGULAR))
+    axes = [
+        np.array(draw.draw(st.lists(st.floats(p.lo - 1.0, p.hi + 1.0), min_size=3, max_size=6)))
+        for p in parts
+    ]
+    table = draw.draw(hnp.arrays(float, tuple(sets), elements=st.floats(-1e6, 1e6)))
+    assert window_matches_einsum(degree_mats(parts, axes), table)
+
+
+def test_window_sum_matches_oracle_above_the_bit_identical_size():
+    # 12000 cells: past 8192 the einsum regroups some of its terms, so the
+    # window sum is checked against the plain loop instead.
+    rng = np.random.default_rng(12)
+    parts = [Partition(0, 10, 60, TRIANGULAR), Partition(0, 10, 200, TRIANGULAR)]
+    conclusions = rng.uniform(0, 20, size=(60, 200))
+    conclusions[rng.uniform(size=(60, 200)) < 0.3] = np.nan
+    m = FuzzyModel(parts, Partition(0, 20, 13, TRIANGULAR), conclusions)
+    xs, ys = np.linspace(-1, 11, 4), np.linspace(0.05, 9.95, 3)
+    out = m.outputs([xs, ys])
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            ref = center_average(m, (float(x), float(y)))
+            assert out[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sets, kind, points, uses_einsum",
+    [
+        ((9, 9), TRIANGULAR, 50, False),
+        ((9, 9, 9), TRIANGULAR, 5, False),
+        ((3, 3), TRIANGULAR, 50, True),  # the window is 4 of 9 cells
+        ((9, 9), GAUSSIAN, 50, True),  # width factor 0.5: no degree is 0
+        ((9,), TRIANGULAR, 50, True),  # one input: a dot product
+        ((9, 9), TRIANGULAR, 1, True),  # one or two points per axis
+        ((2, 12), TRIANGULAR, 2, True),
+    ],
+)
+def test_outputs_takes_the_einsum_only_where_the_window_does_not_pay(
+    monkeypatch, sets, kind, points, uses_einsum
+):
+    einsum, calls = np.einsum, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    parts = [Partition(0, 10, n, kind) for n in sets]
+    m = FuzzyModel(parts, Partition(0, 20, 13, TRIANGULAR), np.ones(sets))
+    out = m.outputs([np.linspace(0, 10, points)] * len(sets))
+    assert bool(calls) == uses_einsum
+    assert np.allclose(out, 1.0, rtol=1e-12)
