@@ -15,7 +15,6 @@ from .evaluation import (
     DiffReport,
     difference_surface,
     grid_axes,
-    grid_values,
     model_error,
     plane_truth,
     write_diff_report,
@@ -54,7 +53,6 @@ __all__ = [
     "DiffReport",
     "difference_surface",
     "grid_axes",
-    "grid_values",
     "model_error",
     "plane_truth",
     "write_diff_report",

@@ -34,7 +34,6 @@ from .evaluation import (
     DiffReport,
     difference_surface,
     model_error,
-    plane_truth,
     write_diff_report,
 )
 from .inference import FuzzyModel, check_model_size, load_model, save_model
@@ -89,8 +88,6 @@ PRESETS = {
     ],
 }
 
-DEFAULT_OUT_RANGE = (2.0, 22.0)
-
 HEAT_RAMP = " .:-=+*#%@"
 GAP_CHAR = "?"
 # The heatmap's characters by bucket index; a gap is the index after the ramp.
@@ -119,8 +116,15 @@ class ExperimentConfig:
     init: str = NeuroFuzzyConfig.init
     resolution: int = 50
     width_factor: float = DEFAULT_WIDTH_FACTOR
-    domain: tuple = DEFAULT_DOMAIN
-    out_range: tuple = DEFAULT_OUT_RANGE
+    lo: float = DEFAULT_DOMAIN[0][0]
+    hi: float = DEFAULT_DOMAIN[0][1]
+    out_lo: float = 2.0
+    out_hi: float = 22.0
+
+    @property
+    def domain(self) -> tuple:
+        """The square input domain: (lo, hi) on both axes."""
+        return ((self.lo, self.hi),) * 2
 
 
 def build_partitions(cfg: ExperimentConfig):
@@ -135,8 +139,7 @@ def build_partitions(cfg: ExperimentConfig):
         Partition(lo, hi, cfg.input_sets, kind, cfg.width_factor)
         for lo, hi in cfg.domain
     ]
-    out_lo, out_hi = cfg.out_range
-    output = Partition(out_lo, out_hi, cfg.output_sets, TRIANGULAR)
+    output = Partition(cfg.out_lo, cfg.out_hi, cfg.output_sets, TRIANGULAR)
     return inputs, output
 
 
@@ -273,31 +276,25 @@ _PARAMS = {
     "noise": ("noise_level", float, "noise level, e.g. 0.10"),
     "distribution": ("distribution", DISTRIBUTIONS, "input sampling"),
     "seed": ("seed", int, "base seed"),
-    "lo": ("domain", float, "input range low end"),
-    "hi": ("domain", float, "input range high end"),
+    "lo": ("lo", float, "input range low end"),
+    "hi": ("hi", float, "input range high end"),
     "sets": ("input_sets", int, "input sets per variable"),
     "out_sets": ("output_sets", int, "output sets"),
     "width_factor": ("width_factor", float, "gaussian sigma as a multiple of set spacing"),
     "alpha": ("alpha", float, "neurofuzzy learning rate"),
     "epochs": ("epochs", int, "neurofuzzy learning epochs"),
     "init": ("init", INITS, "neurofuzzy conclusion initialization"),
-    "out_lo": ("out_range", float, "output range low end"),
-    "out_hi": ("out_range", float, "output range high end"),
+    "out_lo": ("out_lo", float, "output range low end"),
+    "out_hi": ("out_hi", float, "output range high end"),
     "resolution": ("resolution", int, "grid points per axis"),
     "trials": (None, int, "seeds per cell"),
 }
 
-# The parameters that set an ExperimentConfig field of their own.
-_FIELDS = {
-    name: field
-    for name, (field, _, _) in _PARAMS.items()
-    if field not in (None, "domain", "out_range")
-}
+# The parameters that set an ExperimentConfig field.
+_FIELDS = {name: field for name, (field, _, _) in _PARAMS.items() if field is not None}
 
 # A parameter's value when neither its flag nor the config file sets it.
 _DEFAULTS = {name: getattr(ExperimentConfig, field) for name, field in _FIELDS.items()}
-_DEFAULTS["lo"], _DEFAULTS["hi"] = DEFAULT_DOMAIN[0]
-_DEFAULTS["out_lo"], _DEFAULTS["out_hi"] = DEFAULT_OUT_RANGE
 _DEFAULTS["trials"] = 10
 
 
@@ -349,13 +346,7 @@ def _resolve(args) -> dict:
 
 def _experiment(algorithm: str, values: dict) -> ExperimentConfig:
     """The experiment cell that resolved parameter values describe."""
-    axis = (values["lo"], values["hi"])
-    return ExperimentConfig(
-        algorithm,
-        domain=(axis, axis),
-        out_range=(values["out_lo"], values["out_hi"]),
-        **{field: values[name] for name, field in _FIELDS.items()},
-    )
+    return ExperimentConfig(algorithm, **{field: values[name] for name, field in _FIELDS.items()})
 
 
 def _die(message: str) -> int:
@@ -431,7 +422,7 @@ def cmd_eval(args) -> int:
         model = load_model(args.model)
     except (OSError, ValueError) as e:
         return _die(f"cannot load model: {e}")
-    _print_metrics(**model_error(model, plane_truth, resolution))
+    _print_metrics(**model_error(model, resolution))
     return 0
 
 
@@ -448,6 +439,8 @@ def cmd_sweep(args) -> int:
     if args.algo is not None and args.preset != "partition-sweep":
         raise ValueError(f"--algo applies to the partition-sweep preset only, not {args.preset}")
     cells = preset_cells(args.preset, _experiment(SIMPLIFIED, values), args.algo)
+    for cfg in cells:  # a cell that cannot be built fails before any trial runs
+        build_partitions(cfg)
     _note(f"running {args.preset}: {len(cells)} cells x {trials} trials")
     rows = summary_rows(args.preset, cells, trials)
     text = "\n".join(rows) + "\n"

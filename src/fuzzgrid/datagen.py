@@ -238,6 +238,12 @@ def write_dataset(path, data: Dataset) -> None:
 
 
 def read_dataset(path) -> Dataset:
+    """The dataset of a file in write_dataset's format, blank lines skipped.
+
+    A bad header, a row without three fields, a field that does not parse
+    and a value that is not finite raise ValueError; a row's error names
+    its file line.
+    """
     inputs, outputs = [], []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -250,7 +256,12 @@ def read_dataset(path) -> Dataset:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"line {line_no}: expected 3 fields, got {len(parts)}")
-            x, y, z = (float(v) for v in parts)
+            try:
+                x, y, z = (float(v) for v in parts)
+            except ValueError as e:
+                raise ValueError(f"line {line_no}: {e}") from None
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise ValueError(f"line {line_no}: values must be finite, got {line!r}")
             inputs.append((x, y))
             outputs.append(z)
     if not outputs:

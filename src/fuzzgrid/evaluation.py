@@ -34,6 +34,11 @@ MAX_RESOLUTION = 4096
 
 
 def grid_axes(model: FuzzyModel, resolution: int):
+    """The x and y axes of the resolution x resolution grid over model's domain.
+
+    model.outputs(grid_axes(model, resolution)) is the model on that grid:
+    rows index x, columns index y, NaN at coverage gaps.
+    """
     if model.dim != 2:
         raise ValueError("grid evaluation supports 2-input models only")
     if resolution < 2:
@@ -44,15 +49,6 @@ def grid_axes(model: FuzzyModel, resolution: int):
     xs = np.linspace(px.lo, px.hi, resolution)
     ys = np.linspace(py.lo, py.hi, resolution)
     return xs, ys
-
-
-def grid_values(model: FuzzyModel, resolution: int) -> np.ndarray:
-    """Model output on a regular grid, NaN at coverage gaps.
-
-    Rows index x, columns index y. The values are FuzzyModel.outputs, the
-    same center average that infer() takes at one point.
-    """
-    return model.outputs(grid_axes(model, resolution))
 
 
 @dataclass
@@ -99,14 +95,10 @@ def difference_surface(clean: FuzzyModel, noisy: FuzzyModel, resolution: int = 5
     )
 
 
-def model_error(model: FuzzyModel, truth, resolution: int = 50) -> dict:
-    """Fit against an analytic ground truth on the same grid protocol.
-
-    truth is called once, on broadcast arrays: x of shape (resolution, 1)
-    and y of shape (1, resolution).
-    """
+def model_error(model: FuzzyModel, resolution: int = 50) -> dict:
+    """Fit against plane_truth on the same grid protocol."""
     xs, ys = grid_axes(model, resolution)
-    target = truth(xs[:, None], ys[None, :])
+    target = plane_truth(xs[:, None], ys[None, :])
     rmse, max_abs, gap_fraction = _aggregate(model.outputs((xs, ys)) - target)
     return {"rmse": rmse, "max_abs": max_abs, "gap_fraction": gap_fraction}
 

@@ -239,7 +239,10 @@ def _blocks(W, z, alpha: float):
     K_b come from one stacked product and one batched inverse (see _build).
     """
     full = len(W) - len(W) % _BLOCK
-    parts = _build(W[:full].reshape(-1, _BLOCK, W.shape[1]), z[:full].reshape(-1, _BLOCK), alpha)
+    # The block count, not -1: W has no columns when every cell is empty.
+    parts = _build(
+        W[:full].reshape(full // _BLOCK, _BLOCK, W.shape[1]), z[:full].reshape(-1, _BLOCK), alpha
+    )
     if full < len(W):
         parts += _build(W[None, full:], z[None, full:], alpha)
     return [block for part in parts for block in part]

@@ -15,8 +15,8 @@ Where inputs outside [lo, hi] are clamped into range, and where not:
   would at the edge, and fades to nothing far outside.
 - The neuro-fuzzy learner clamps its examples before it calls
   activations, and FuzzyModel.outputs clamps its axes, so the tuning
-  weights, infer and grid_values see clamped inputs: an out-of-range
-  query resolves to the nearest edge region.
+  weights, infer and the grid evaluations see clamped inputs: an
+  out-of-range query resolves to the nearest edge region.
 - Partition.best clamps, so wm_learn's cell choice and the output-set
   quantization see clamped values.
 """

@@ -26,7 +26,6 @@ from fuzzgrid import (
     cluster_learn,
     infer,
     model_error,
-    plane_truth,
     wm_learn,
 )
 from fuzzgrid.cli import (
@@ -71,7 +70,7 @@ def test_c01_exact_linear_reproduction():
         py = Partition(1, 11, n, TRIANGULAR)
         pout = Partition(2, 22, 13, TRIANGULAR)
         conclusions = np.add.outer(px.centers, py.centers)
-        err = model_error(FuzzyModel([px, py], pout, conclusions), plane_truth, 50)
+        err = model_error(FuzzyModel([px, py], pout, conclusions), 50)
         worst = max(worst, err["rmse"], err["max_abs"])
     check(1, "exact-linear-reproduction", worst < 1e-9, f"max error {worst:.3g}")
 

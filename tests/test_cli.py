@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -345,6 +346,32 @@ def test_sweep_refuses_models_over_the_cell_limit(capsys, tmp_path, monkeypatch)
     assert "a model of 4000 x 4000 input sets and 13 output sets exceeds the limit" in err
     assert not out_path.exists()
     assert built == []
+
+
+def test_sweep_refuses_a_bad_cell_before_any_trial(capsys, monkeypatch):
+    # The gaussian cells' width underflows; the triangular cells before them
+    # would train fine, but no pair is trained at all.
+    pairs = []
+    run_pair = cli.run_pair
+    monkeypatch.setattr(cli, "run_pair", lambda *args: pairs.append(args) or run_pair(*args))
+    code, out, err = run(capsys, "sweep", "algorithm-ladder", "--width-factor", "1e-320")
+    assert code == 1
+    assert out == ""
+    assert "error: invalid set width" in err
+    assert pairs == []
+
+
+def test_sweep_runs_neurofuzzy_cells_with_every_cell_empty(capsys):
+    # At this width no example reaches a set, so both models of every pair
+    # are empty: the neuro-fuzzy cells report all gaps, as cluster-gauss does.
+    code, out, err = run(
+        capsys, "sweep", "partition-sweep", "--algo", "neurofuzzy",
+        "--width-factor", "0.001", "--trials", "1",
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[2] for row in rows] == ["3", "5", "7", "9"]
+    assert all(row[11:] == ["", "", "0", "1"] for row in rows)
 
 
 def test_sweep_rejects_unknown_preset(capsys):
@@ -699,6 +726,23 @@ def test_defaults_are_the_experiment_config_defaults():
     )
 
 
+def test_every_parameter_but_trials_sets_a_field_of_its_own():
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    named = [field for name, (field, _, _) in cli._PARAMS.items() if name != "trials"]
+    assert cli._PARAMS["trials"][0] is None
+    assert set(named) <= fields
+    assert len(set(named)) == len(named)
+
+
+def test_parameter_defaults_are_their_fields_defaults():
+    fields = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
+    assert set(cli._DEFAULTS) == set(cli._PARAMS)
+    for name, (field, _, _) in cli._PARAMS.items():
+        if field is not None:
+            assert cli._DEFAULTS[name] == fields[field], name
+    assert cli._DEFAULTS["trials"] == 10
+
+
 def test_resolved_values_set_their_experiment_fields():
     values = resolve(
         *ARGV["train"], "--sets", "5", "--out-sets", "9", "--width-factor", "0.25",
@@ -713,8 +757,10 @@ def test_resolved_values_set_their_experiment_fields():
         alpha=0.5,
         epochs=4,
         init="zero",
-        domain=((0.0, 10.0), (0.0, 10.0)),
-        out_range=(0.0, 20.0),
+        lo=0.0,
+        hi=10.0,
+        out_lo=0.0,
+        out_hi=20.0,
     )
     values = resolve(
         *ARGV["sweep"], "--n", "30", "--distribution", "clustered", "--seed", "4",

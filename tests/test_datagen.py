@@ -298,3 +298,20 @@ def test_read_dataset_rejects_bad_files(tmp_path):
     empty.write_text("x,y,z\n")
     with pytest.raises(ValueError, match="no examples"):
         read_dataset(empty)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x,y,z\n1,2,3\n1,abc,3\n", "line 3: could not convert string to float: 'abc'"),
+        # the blank line still counts, so the error names the file line
+        ("x,y,z\n1,2,3\n\n1,nan,3\n", "line 4: values must be finite, got '1,nan,3'"),
+        ("x,y,z\n1,2,-inf\n", "line 2: values must be finite, got '1,2,-inf'"),
+    ],
+)
+def test_read_dataset_names_the_line_of_a_bad_value(tmp_path, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_dataset(path)
+    assert str(exc.value) == message

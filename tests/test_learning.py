@@ -20,7 +20,6 @@ from fuzzgrid import (
     make_plane_dataset,
     model_error,
     neurofuzzy_learn,
-    plane_truth,
     wm_learn,
 )
 
@@ -358,6 +357,18 @@ def test_neurofuzzy_alpha_zero_keeps_init():
         assert np.array_equal(m.conclusions, ref, equal_nan=True)
 
 
+@pytest.mark.parametrize("epochs", [1, 50])
+def test_neurofuzzy_keeps_an_init_with_every_cell_empty(epochs):
+    # Sets this narrow reach no example, so the cluster init has no filled
+    # cell and the tuning weights have no columns.
+    data = make_plane_dataset(DataSpec(n=100, seed=0))
+    inputs, out = gauss_parts(lo=1.0, hi=11.0, wf=0.001)
+    init = cluster_learn(data, inputs, out)
+    assert init.empty_count() == 9
+    tuned = neurofuzzy_learn(data, inputs, out, NeuroFuzzyConfig(epochs=epochs))
+    assert np.array_equal(tuned.conclusions, init.conclusions, equal_nan=True)
+
+
 def test_neurofuzzy_single_example_full_correction():
     # one effective cell: narrow gaussians make the corner weight 1.0
     px = Partition(0, 10, 2, GAUSSIAN, 0.05)
@@ -687,7 +698,7 @@ def test_cluster_fit_improves_with_more_data():
         inputs = [Partition(1, 11, 9, TRIANGULAR), Partition(1, 11, 9, TRIANGULAR)]
         out = Partition(2, 22, 13, TRIANGULAR)
         m = cluster_learn(data, inputs, out)
-        return model_error(m, plane_truth, 50)["rmse"]
+        return model_error(m, 50)["rmse"]
 
     small = statistics.median(rms(100, s) for s in range(10))
     large = statistics.median(rms(400, s) for s in range(10))
