@@ -303,9 +303,9 @@ def load_config(path) -> dict:
 
     Keys are parameter names, values are parsed by their type. An unknown
     key, a value that does not parse or a value outside its choices raises
-    ValueError naming the line.
+    ValueError naming the line; a key given twice names both lines.
     """
-    values = {}
+    values, key_lines = {}, {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -316,6 +316,9 @@ def load_config(path) -> dict:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in _PARAMS:
                 raise ValueError(f"config line {line_no}: unknown key {key!r}")
+            if key in key_lines:
+                raise ValueError(f"config lines {key_lines[key]} and {line_no}: {key} given twice")
+            key_lines[key] = line_no
             kind = _PARAMS[key][1]
             choices = kind if isinstance(kind, tuple) else None
             try:

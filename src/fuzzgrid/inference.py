@@ -13,7 +13,6 @@ the things the benchmark measures.
 
 from __future__ import annotations
 
-import itertools
 import math
 import string
 
@@ -77,11 +76,11 @@ class FuzzyModel:
         The weighted sums run over each point's support window: on every
         axis, the columns from a point's first nonzero degree on, as many
         as the widest run of nonzero degrees (2 or 3 for triangular sets).
-        The other cells add exact zeros. When the windows hold at most a
-        quarter of the cells, only their cells are summed (_window_sums);
-        otherwise, and for one input or a grid of one or two points on an
-        axis, one einsum sums every cell. Both give the same bits up to
-        8192 cells (see _window_sums).
+        The other cells add exact zeros. On a two-input grid whose windows
+        hold at most a quarter of the cells, only their cells are summed
+        (_window_sums); otherwise, for other input counts and for a grid of
+        one or two points on an axis, one einsum sums every cell. Both give
+        the same bits up to 8192 cells (see _window_sums).
         """
         if len(axes) != self.dim:
             raise ValueError(f"expected {self.dim} axes, got {len(axes)}")
@@ -89,11 +88,11 @@ class FuzzyModel:
         mask = self.filled_mask()
         tables = (np.where(mask, self.conclusions, 0.0), mask.astype(float))
         firsts, widths = _support_windows(mats)
-        # One input's einsum is a dot product, which numpy sums in SIMD
-        # lanes, not in C order. At one or two points on an axis the window
-        # saves nothing, and numpy sums a first input of two sets row by row.
+        # The window sum serves two-input grids; other input counts take
+        # the einsum. At one or two points on an axis the window saves
+        # nothing, and numpy sums a first input of two sets row by row.
         if (
-            self.dim > 1
+            self.dim == 2
             and min(map(len, mats)) > 2
             and _WINDOW_SHARE * math.prod(widths) <= mask.size
         ):
@@ -146,34 +145,32 @@ def _support_windows(mats):
 
 
 def _window_sums(mats, firsts, widths, tables):
-    """_einsum_sum of each table, over the cells of the support windows only.
+    """_einsum_sum of each table on a two-input grid, over the cells of
+    the support windows only.
 
     A cell outside a point's window adds an exact zero, which never
-    changes a float sum. The window's terms are (w1 * ... * wd) * table,
-    added to a zero start in C order of the cells. With numpy 2.4 that is
-    the einsum's own order for two or more inputs and at least three
-    points per axis, up to 8192 cells (3276 when the first input has two
-    sets), so the sums are bit-identical to _einsum_sum's there. With more
-    cells the einsum's buffered reduction regroups some of its sums, and
-    the two differ in the last bit: at most 4e-16 of the sum of the
-    terms' magnitudes in random tests.
+    changes a float sum. The window's terms are (wx * wy) * table, added
+    to a zero start in C order of the cells. With numpy 2.4 that is the
+    einsum's own order for two inputs and at least three points per
+    axis, up to 8192 cells (3276 when the first input has two sets), so
+    the sums are bit-identical to _einsum_sum's there. With more cells
+    the einsum's buffered reduction regroups some of its sums, and the
+    two differ in the last bit: at most 4e-16 of the sum of the terms'
+    magnitudes in random tests. Other input counts take the einsum.
     """
-    rows = [np.arange(len(m)) for m in mats]
-    starts = [np.minimum(f, m.shape[1] - w) for m, f, w in zip(mats, firsts, widths)]
-    sums = [np.zeros(tuple(len(m) for m in mats)) for _ in tables]
-    for offsets in itertools.product(*map(range, widths)):
-        cols = [s + o for s, o in zip(starts, offsets)]
-        weight = None
-        for k, (m, r, c) in enumerate(zip(mats, rows, cols)):
-            w = m[r, c].reshape((-1,) + (1,) * (len(mats) - 1 - k))
-            weight = w if weight is None else weight * w
-        for total, table in zip(sums, tables):
-            # one axis at a time: a flat index over the grid would cost
-            # as much memory as another sum
-            for k, c in enumerate(cols):
-                table = table.take(c, axis=k)
-            table *= weight
-            total += table
+    rx, ry = (np.arange(len(m)) for m in mats)
+    sx, sy = (np.minimum(f, m.shape[1] - w) for m, f, w in zip(mats, firsts, widths))
+    sums = [np.zeros((len(rx), len(ry))) for _ in tables]
+    for cx in (sx + i for i in range(widths[0])):
+        wx = mats[0][rx, cx][:, None]
+        for cy in (sy + j for j in range(widths[1])):
+            weight = wx * mats[1][ry, cy]
+            for total, table in zip(sums, tables):
+                # one axis at a time: a flat index over the grid would cost
+                # as much memory as another sum
+                table = table.take(cx, axis=0).take(cy, axis=1)
+                table *= weight
+                total += table
     return sums
 
 
@@ -196,14 +193,19 @@ def rule_diff(a: FuzzyModel, b: FuzzyModel) -> dict:
 
     A cell counts as changed when both models fill it but the conclusions
     fall into different output sets (argmax membership on the output
-    partition). Cells empty in both models are not counted at all.
+    partition). Cells empty in both models are not counted at all. Output
+    partitions of different ranges or set counts raise ValueError: their
+    set indices do not compare.
     """
     if a.shape != b.shape:
         raise ValueError(f"rule grid shapes differ: {a.shape} vs {b.shape}")
+    pa, pb = a.output_partition, b.output_partition
+    if not (pa.same_axis(pb) and pa.n == pb.n):
+        raise ValueError(f"output partitions differ: {pa!r} vs {pb!r}")
     fa, fb = a.filled_mask(), b.filled_mask()
     both = fa & fb
-    sa = a.output_partition.best(a.conclusions[both])
-    sb = b.output_partition.best(b.conclusions[both])
+    sa = pa.best(a.conclusions[both])
+    sb = pb.best(b.conclusions[both])
     changed = int(np.count_nonzero(sa != sb))
     return {
         "unchanged": int(np.count_nonzero(both)) - changed,

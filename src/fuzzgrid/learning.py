@@ -140,13 +140,12 @@ def neurofuzzy_learn(
     _check_data(data, inputs)
     _check_kind(inputs, GAUSSIAN, "neurofuzzy_learn")
     if cfg.init == INIT_CLUSTER:
-        init = cluster_learn(data, inputs, output)
-        conclusions = init.conclusions.copy()
+        conclusions = cluster_learn(data, inputs, output).conclusions
     else:
         shape = tuple(p.n for p in inputs)
         conclusions = np.full(shape, (output.lo + output.hi) / 2.0)
     flat_idx = np.flatnonzero(~np.isnan(conclusions.ravel()))
-    c = conclusions.ravel()[flat_idx]
+    c = conclusions.flat[flat_idx]
 
     weights, targets = _tuning_weights(data, inputs, flat_idx)
     # Targets near the float limit can overflow the updates to inf and NaN,
@@ -156,9 +155,8 @@ def neurofuzzy_learn(
     if not np.isfinite(c).all():
         raise ValueError("neuro-fuzzy tuning overflowed: a tuned conclusion is not finite")
 
-    out = np.full(conclusions.size, np.nan)
-    out[flat_idx] = c
-    return FuzzyModel(inputs, output, out.reshape(conclusions.shape))
+    conclusions.flat[flat_idx] = c
+    return FuzzyModel(inputs, output, conclusions)
 
 
 # Rows per block of _sweep. The block build costs O(rows * _BLOCK * cells)

@@ -298,6 +298,19 @@ def test_diff_rejects_mismatched_domains(capsys, tmp_path):
     assert "input domains differ" in err
 
 
+@pytest.mark.parametrize("flags", [("--out-sets", "5"), ("--out-lo", "0", "--out-hi", "100")])
+def test_diff_refuses_models_of_different_output_partitions(capsys, tmp_path, flags):
+    data = gen(capsys, tmp_path, "a.csv", "--n", "50")
+    model_a = train(capsys, tmp_path, data, "a.model", "cluster-tri")
+    model_b = train(capsys, tmp_path, data, "b.model", "cluster-tri", *flags)
+    report = tmp_path / "report.csv"
+    code, out, err = run(capsys, "diff", str(model_a), str(model_b), "--out", str(report))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: output partitions differ: Partition(2.0, 22.0, 13, ")
+    assert not report.exists()
+
+
 def test_diff_missing_model(capsys, tmp_path):
     code, _, err = run(capsys, "diff", str(tmp_path / "no.model"), str(tmp_path / "no.model"))
     assert code == 1
@@ -546,6 +559,7 @@ def test_config_rejects_malformed_lines(capsys, tmp_path):
         ),
         ("init=random\n", "config line 1: init must be one of zero, cluster, got 'random'"),
         ("mf=gaussian\n", "config line 1: unknown key 'mf'"),
+        ("n=50\n# more\nseed=2\nn=70\n", "config lines 1 and 4: n given twice"),
     ],
 )
 def test_config_rejects_unknown_keys_and_bad_values(capsys, tmp_path, text, message):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +182,18 @@ def test_rule_diff_shape_mismatch():
     b = linear_model(n=5)
     with pytest.raises(ValueError, match="shapes differ"):
         rule_diff(a, b)
+
+
+@pytest.mark.parametrize("lo, hi, n", [(0, 20, 5), (0, 100, 13)])
+def test_rule_diff_refuses_output_partitions_of_other_range_or_count(lo, hi, n):
+    a = linear_model()
+    b = FuzzyModel(a.input_partitions, Partition(lo, hi, n, TRIANGULAR), a.conclusions)
+    message = f"output partitions differ: {a.output_partition!r} vs {b.output_partition!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rule_diff(a, b)
+    # the set indices depend on the range and the count only
+    c = FuzzyModel(a.input_partitions, Partition(0, 20, 13, GAUSSIAN, 0.3), a.conclusions)
+    assert rule_diff(a, c) == rule_diff(a, a)
 
 
 def test_rule_diff_counts_skip_double_empty():
@@ -397,6 +411,20 @@ def degree_mats(partitions, axes):
     return [p.degrees(np.clip(a, p.lo, p.hi)) for p, a in zip(partitions, axes)]
 
 
+def grid_keeps_einsum_bits(parts, axes, table):
+    """On two inputs, window_matches_einsum. On three, which take the
+    einsum, the outputs of a model whose conclusions are table (no cell
+    empty) against the quotient of the two einsums, bit for bit."""
+    mats = degree_mats(parts, axes)
+    if len(parts) == 2:
+        return window_matches_einsum(mats, table)
+    got = FuzzyModel(parts, Partition(0, 20, 13, TRIANGULAR), table).outputs(axes)
+    num = inference._einsum_sum(mats, table)
+    den = inference._einsum_sum(mats, np.ones(table.shape))
+    want = np.divide(num, den, out=np.full(den.shape, np.nan), where=den > 0.0)
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_window_is_three_wide_where_centers_round():
     # lo + spacing * i rounds, so at its own centers this partition gives a
     # neighbour a degree of 1.1e-16: a third nonzero column in some rows.
@@ -416,7 +444,7 @@ def test_window_sum_is_bit_identical_to_einsum(sets):
     table[rng.uniform(size=sets) < 0.3] = 0.0
     for _ in range(20):
         axes = [rng.uniform(-3, 13, size=rng.integers(3, 8)) for _ in sets]
-        assert window_matches_einsum(degree_mats(parts, axes), table)
+        assert grid_keeps_einsum_bits(parts, axes, table)
 
 
 def test_window_of_a_narrow_gaussian():
@@ -467,7 +495,7 @@ def test_window_sum_matches_einsum_on_random_triangular_partitions(draw, sets):
         for p in parts
     ]
     table = draw.draw(hnp.arrays(float, tuple(sets), elements=st.floats(-1e6, 1e6)))
-    assert window_matches_einsum(degree_mats(parts, axes), table)
+    assert grid_keeps_einsum_bits(parts, axes, table)
 
 
 def test_window_sum_matches_oracle_above_the_bit_identical_size():
@@ -486,11 +514,31 @@ def test_window_sum_matches_oracle_above_the_bit_identical_size():
             assert out[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", [TRIANGULAR, GAUSSIAN])
+def test_three_input_grid_matches_center_average_oracle(kind):
+    # Three to five points per axis, inside and up to 3 units outside
+    # [0, 10], with about 40% of the cells empty.
+    rng = np.random.default_rng(29)
+    sets = (5, 9, 4)
+    parts = [Partition(0, 10, n, kind, 0.4) for n in sets]
+    conclusions = rng.uniform(0, 20, size=sets)
+    conclusions[rng.uniform(size=sets) < 0.4] = np.nan
+    m = FuzzyModel(parts, Partition(0, 20, 13, TRIANGULAR), conclusions)
+    axes = [rng.uniform(-3, 13, size=rng.integers(3, 6)) for _ in sets]
+    out = m.outputs(axes)
+    for idx in np.ndindex(out.shape):
+        ref = center_average(m, [float(a[i]) for a, i in zip(axes, idx)])
+        if ref is None:
+            assert np.isnan(out[idx])
+        else:
+            assert out[idx] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "sets, kind, points, uses_einsum",
     [
         ((9, 9), TRIANGULAR, 50, False),
-        ((9, 9, 9), TRIANGULAR, 5, False),
+        ((9, 9, 9), TRIANGULAR, 5, True),  # three inputs
         ((3, 3), TRIANGULAR, 50, True),  # the window is 4 of 9 cells
         ((9, 9), GAUSSIAN, 50, True),  # width factor 0.5: no degree is 0
         ((9,), TRIANGULAR, 50, True),  # one input: a dot product
