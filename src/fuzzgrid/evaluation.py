@@ -27,9 +27,11 @@ def plane_truth(x, y):
 # The largest grid resolution. A diff keeps at most five resolution x
 # resolution float arrays alive at once (one model's output while the
 # other's numerator and denominator are summed, with a window term's
-# weights and table values): about 40 MB at resolution 1000 and 0.7 GB at
-# 4096, where 2**24 points take 128 MB per array. A resolution-4096 diff
-# of two 9-set triangular models peaked at 677 MB resident.
+# weights and table values on a triangular grid): about 40 MB at
+# resolution 1000 and 0.7 GB at 4096, where 2**24 points take 128 MB per
+# array. At resolution 4096 a diff of two 9-set triangular models peaked
+# at 800 MB resident, one of two 9-set gaussian models at 608 MB, and an
+# eval of one gaussian model at 560 MB (2 vCPUs, numpy 2.4.6).
 MAX_RESOLUTION = 4096
 
 

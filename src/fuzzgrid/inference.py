@@ -14,11 +14,10 @@ the things the benchmark measures.
 from __future__ import annotations
 
 import math
-import string
 
 import numpy as np
 
-from .membership import Partition
+from .membership import TRIANGULAR, Partition
 
 
 class FuzzyModel:
@@ -73,57 +72,42 @@ class FuzzyModel:
         nearest edge region instead of fading to nothing. An axis count
         other than the input count raises ValueError.
 
-        The weighted sums run over each point's support window: on every
-        axis, the columns from a point's first nonzero degree on, as many
-        as the widest run of nonzero degrees (2 or 3 for triangular sets).
-        The other cells add exact zeros. On a two-input grid whose windows
-        hold at most a quarter of the cells, only their cells are summed
-        (_window_sums); otherwise, for other input counts and for a grid of
-        one or two points on an axis, one einsum sums every cell. Both give
-        the same bits up to 8192 cells (see _window_sums).
+        A two-input grid of triangular partitions with at least three
+        points per axis sums only each point's support window, 2 or 3 sets
+        wide on every axis (_window_sums). Every other grid (gaussian or
+        mixed kinds, other input counts, one or two points on an axis)
+        takes one matrix product per axis (_contract).
         """
         if len(axes) != self.dim:
             raise ValueError(f"expected {self.dim} axes, got {len(axes)}")
         mats = [p.degrees(np.clip(a, p.lo, p.hi)) for p, a in zip(self.input_partitions, axes)]
         mask = self.filled_mask()
         tables = (np.where(mask, self.conclusions, 0.0), mask.astype(float))
-        firsts, widths = _support_windows(mats)
-        # The window sum serves two-input grids; other input counts take
-        # the einsum. At one or two points on an axis the window saves
-        # nothing, and numpy sums a first input of two sets row by row.
+        # The window sum keeps the bits of an einsum over every cell, which
+        # the reference heatmaps in perfbench pin; at one or two points on
+        # an axis the einsum sums in another order.
         if (
             self.dim == 2
             and min(map(len, mats)) > 2
-            and _WINDOW_SHARE * math.prod(widths) <= mask.size
+            and all(p.kind == TRIANGULAR for p in self.input_partitions)
         ):
-            num, den = _window_sums(mats, firsts, widths, tables)
+            num, den = _window_sums(mats, *_support_windows(mats), tables)
         else:
-            num, den = (_einsum_sum(mats, t) for t in tables)
+            num, den = (_contract(mats, t) for t in tables)
         return np.divide(num, den, out=np.full(den.shape, np.nan), where=den > 0.0)
 
 
-# The window sum makes about ten numpy calls per window cell, the einsum
-# one pass over every cell. At resolution 50 (2 vCPUs, numpy 2.4.6) they
-# break even when the windows hold a quarter of the cells: 4 x 4
-# triangular sets took 164 us either way, 12 gaussian sets of width
-# factor 0.1 (windows of 6) 1.58 ms against 1.59 ms. At 9 x 9 triangular
-# sets the window is 3.4x faster, at 9 gaussian sets of width factor 0.5
-# (no zero degree) 6x slower. The crossover moves with the point count:
-# at resolution 20 the einsum wins up to a twentieth, at 100 the window
-# from a half.
-_WINDOW_SHARE = 4
-
-
-def _einsum_sum(mats, table):
+def _contract(mats, table):
     """The sum over cells c of (mats[0][:, c[0]] x ... x mats[-1][:, c[-1]]) * table[c].
 
     mats holds one (points, sets) degree matrix per input; the result has
-    one axis of points per input.
+    one axis of points per input. Each step contracts the table's first
+    axis with one matrix product and appends that input's points as the
+    last axis.
     """
-    grid, cells = string.ascii_uppercase[:len(mats)], string.ascii_lowercase[:len(mats)]
-    # "Aa,Bb,ab->AB" for two inputs: product-t-norm weights times cell values
-    subscripts = ",".join(g + c for g, c in zip(grid, cells)) + f",{cells}->{grid}"
-    return np.einsum(subscripts, *mats, table)
+    for m in mats:
+        table = (table.reshape(len(table), -1).T @ m.T).reshape(table.shape[1:] + (len(m),))
+    return table
 
 
 def _support_windows(mats):
@@ -145,18 +129,19 @@ def _support_windows(mats):
 
 
 def _window_sums(mats, firsts, widths, tables):
-    """_einsum_sum of each table on a two-input grid, over the cells of
-    the support windows only.
+    """_contract of each table on a two-input grid, over the cells of the
+    support windows only.
 
     A cell outside a point's window adds an exact zero, which never
     changes a float sum. The window's terms are (wx * wy) * table, added
     to a zero start in C order of the cells. With numpy 2.4 that is the
-    einsum's own order for two inputs and at least three points per
-    axis, up to 8192 cells (3276 when the first input has two sets), so
-    the sums are bit-identical to _einsum_sum's there. With more cells
-    the einsum's buffered reduction regroups some of its sums, and the
-    two differ in the last bit: at most 4e-16 of the sum of the terms'
-    magnitudes in random tests. Other input counts take the einsum.
+    order of np.einsum over every cell for two inputs and at least three
+    points per axis, up to 8192 cells (3276 when the first input has two
+    sets), so the sums are bit-identical to the einsum's there. With more
+    cells the einsum's buffered reduction regroups some of its sums, and
+    the two differ in the last bit: at most 4e-16 of the sum of the
+    terms' magnitudes in random tests. _contract's matrix products group
+    their sums in yet other ways.
     """
     rx, ry = (np.arange(len(m)) for m in mats)
     sx, sy = (np.minimum(f, m.shape[1] - w) for m, f, w in zip(mats, firsts, widths))

@@ -1,12 +1,15 @@
 """Independent reference implementations used to validate the learners.
 
 These deliberately avoid the library's vectorized code paths: plain
-loops, exhaustive enumeration, no einsum. Partition centers are taken
-from the objects under test (so quantization targets agree bit for bit)
-but every degree, product, and average is recomputed from scratch.
+loops and exhaustive enumeration. The one exception, einsum_sum, is the
+plain einsum whose bits the grid's window sum must keep. Partition
+centers are taken from the objects under test (so quantization targets
+agree bit for bit) but every degree, product, and average is recomputed
+from scratch.
 """
 
 import math
+import string
 
 import numpy as np
 
@@ -45,6 +48,20 @@ def center_average(model, x):
         num += w * c
         den += w
     return num / den if den > 0.0 else None
+
+
+def einsum_sum(mats, table):
+    """The sum over cells c of (mats[0][:, c[0]] x ... x mats[-1][:, c[-1]]) * table[c].
+
+    mats holds one (points, sets) degree matrix per input; the result has
+    one axis of points per input. One np.einsum over every cell: the grid
+    kernel's window sum reproduces its bits on two-input grids of up to
+    8192 cells, and the reference heatmaps in perfbench pin them.
+    """
+    grid, cells = string.ascii_uppercase[:len(mats)], string.ascii_lowercase[:len(mats)]
+    # "Aa,Bb,ab->AB" for two inputs: product-t-norm weights times cell values
+    subscripts = ",".join(g + c for g, c in zip(grid, cells)) + f",{cells}->{grid}"
+    return np.einsum(subscripts, *mats, table)
 
 
 def argmax_set(p, x):

@@ -22,7 +22,7 @@ from fuzzgrid import (
 from fuzzgrid import inference
 from fuzzgrid.cli import main
 
-from oracles import center_average
+from oracles import center_average, einsum_sum
 
 
 def linear_model(n=3, lo=0.0, hi=10.0):
@@ -117,7 +117,7 @@ def test_outputs_rejects_wrong_axis_count():
 
 
 @pytest.mark.parametrize("kind", [TRIANGULAR, GAUSSIAN])
-@pytest.mark.parametrize("sets", [(4, 5), (4, 3, 5)])
+@pytest.mark.parametrize("sets", [(4, 5), (4, 3, 5), (7,)])
 def test_infer_matches_center_average_oracle(kind, sets):
     # Random conclusions with about 40% of the cells empty, queried inside
     # and up to 3 units outside [0, 10] on every axis.
@@ -395,7 +395,7 @@ def test_rules_listing():
 
 
 # ---------------------------------------------------------------------------
-# the support-window sum of FuzzyModel.outputs
+# the grid kernels of FuzzyModel.outputs
 
 
 def window_matches_einsum(mats, table):
@@ -403,26 +403,12 @@ def window_matches_einsum(mats, table):
     (int64 views, so NaN and the sign of zero count too)."""
     firsts, widths = inference._support_windows(mats)
     (got,) = inference._window_sums(mats, firsts, widths, [table])
-    want = inference._einsum_sum(mats, table)
+    want = einsum_sum(mats, table)
     return np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def degree_mats(partitions, axes):
     return [p.degrees(np.clip(a, p.lo, p.hi)) for p, a in zip(partitions, axes)]
-
-
-def grid_keeps_einsum_bits(parts, axes, table):
-    """On two inputs, window_matches_einsum. On three, which take the
-    einsum, the outputs of a model whose conclusions are table (no cell
-    empty) against the quotient of the two einsums, bit for bit."""
-    mats = degree_mats(parts, axes)
-    if len(parts) == 2:
-        return window_matches_einsum(mats, table)
-    got = FuzzyModel(parts, Partition(0, 20, 13, TRIANGULAR), table).outputs(axes)
-    num = inference._einsum_sum(mats, table)
-    den = inference._einsum_sum(mats, np.ones(table.shape))
-    want = np.divide(num, den, out=np.full(den.shape, np.nan), where=den > 0.0)
-    return np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_window_is_three_wide_where_centers_round():
@@ -435,16 +421,18 @@ def test_window_is_three_wide_where_centers_round():
     assert window_matches_einsum(mats, table)
 
 
-@pytest.mark.parametrize("sets", [(9, 9), (2, 12), (12, 2), (5, 9, 4), (2, 2, 8)])
+@pytest.mark.parametrize("sets", [(9, 9), (2, 12), (12, 2), (3, 3), (2, 2)])
 def test_window_sum_is_bit_identical_to_einsum(sets):
-    # Points inside and up to 3 units outside [0, 10], three to seven per axis.
+    # Points inside and up to 3 units outside [0, 10], three to seven per
+    # axis. Every triangular grid of two inputs takes the window sum, the
+    # smallest ones too.
     rng = np.random.default_rng(sum(sets))
     parts = [Partition(0, 10, n, TRIANGULAR) for n in sets]
     table = rng.normal(size=sets) * 10.0 ** rng.integers(-4, 5, size=sets)
     table[rng.uniform(size=sets) < 0.3] = 0.0
     for _ in range(20):
         axes = [rng.uniform(-3, 13, size=rng.integers(3, 8)) for _ in sets]
-        assert grid_keeps_einsum_bits(parts, axes, table)
+        assert window_matches_einsum(degree_mats(parts, axes), table)
 
 
 def test_window_of_a_narrow_gaussian():
@@ -479,10 +467,7 @@ def test_zero_row_stays_a_gap_and_does_not_widen_the_window():
 @given(
     draw=st.data(),
     # at most 4096 cells
-    sets=st.one_of(
-        st.lists(st.integers(2, 64), min_size=2, max_size=2),
-        st.lists(st.integers(2, 16), min_size=3, max_size=3),
-    ),
+    sets=st.lists(st.integers(2, 64), min_size=2, max_size=2),
 )
 def test_window_sum_matches_einsum_on_random_triangular_partitions(draw, sets):
     parts = []
@@ -495,7 +480,7 @@ def test_window_sum_matches_einsum_on_random_triangular_partitions(draw, sets):
         for p in parts
     ]
     table = draw.draw(hnp.arrays(float, tuple(sets), elements=st.floats(-1e6, 1e6)))
-    assert grid_keeps_einsum_bits(parts, axes, table)
+    assert window_matches_einsum(degree_mats(parts, axes), table)
 
 
 def test_window_sum_matches_oracle_above_the_bit_identical_size():
@@ -535,29 +520,39 @@ def test_three_input_grid_matches_center_average_oracle(kind):
 
 
 @pytest.mark.parametrize(
-    "sets, kind, points, uses_einsum",
+    "sets, kind, width_factor, points, uses_window",
     [
-        ((9, 9), TRIANGULAR, 50, False),
-        ((9, 9, 9), TRIANGULAR, 5, True),  # three inputs
-        ((3, 3), TRIANGULAR, 50, True),  # the window is 4 of 9 cells
-        ((9, 9), GAUSSIAN, 50, True),  # width factor 0.5: no degree is 0
-        ((9,), TRIANGULAR, 50, True),  # one input: a dot product
-        ((9, 9), TRIANGULAR, 1, True),  # one or two points per axis
-        ((2, 12), TRIANGULAR, 2, True),
+        ((9, 9), TRIANGULAR, 0.5, 50, True),
+        ((9, 9, 9), TRIANGULAR, 0.5, 5, False),  # three inputs
+        ((3, 3), TRIANGULAR, 0.5, 50, True),  # windows of 4 of the 9 cells
+        ((9, 9), GAUSSIAN, 0.5, 50, False),  # gaussian grids are contracted
+        ((9,), TRIANGULAR, 0.5, 50, False),  # one input
+        ((9, 9), TRIANGULAR, 0.5, 1, False),  # one or two points per axis
+        ((2, 12), TRIANGULAR, 0.5, 2, False),
+        ((30, 30), GAUSSIAN, 0.08, 50, False),  # even with windows of 5 of 30 sets
     ],
 )
-def test_outputs_takes_the_einsum_only_where_the_window_does_not_pay(
-    monkeypatch, sets, kind, points, uses_einsum
+def test_outputs_takes_the_window_sum_only_on_two_input_triangular_grids(
+    monkeypatch, sets, kind, width_factor, points, uses_window
 ):
-    einsum, calls = np.einsum, []
+    # The support windows are found only for the window sum: a gaussian
+    # grid or an infer call never looks for them.
+    calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(args[0])
-        return einsum(*args, **kwargs)
+    def spy(real):
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
 
-    monkeypatch.setattr(np, "einsum", spy)
-    parts = [Partition(0, 10, n, kind) for n in sets]
+        return wrapper
+
+    for name in ("_support_windows", "_window_sums"):
+        monkeypatch.setattr(inference, name, spy(getattr(inference, name)))
+    parts = [Partition(0, 10, n, kind, width_factor) for n in sets]
     m = FuzzyModel(parts, Partition(0, 20, 13, TRIANGULAR), np.ones(sets))
     out = m.outputs([np.linspace(0, 10, points)] * len(sets))
-    assert bool(calls) == uses_einsum
+    assert calls == (["_support_windows", "_window_sums"] if uses_window else [])
     assert np.allclose(out, 1.0, rtol=1e-12)
+    calls.clear()
+    assert infer(m, np.full(len(sets), 4.2)) == pytest.approx(1.0, rel=1e-12)
+    assert calls == []
