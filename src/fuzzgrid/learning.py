@@ -234,7 +234,8 @@ def _blocks(W, z, alpha: float):
     and one block of the rows left over.
 
     The full blocks are a (blocks, _BLOCK, cells) view of W, and all their
-    K_b come from one stacked product and one batched inverse (see _build).
+    K_b come from one stacked product and one batched triangular inverse
+    (see _build); the block left over is built alone.
     """
     full = len(W) - len(W) % _BLOCK
     # The block count, not -1: W has no columns when every cell is empty.
@@ -249,12 +250,16 @@ def _blocks(W, z, alpha: float):
 def _build(Ws, zs, alpha: float):
     """For each block of the stack Ws of equal blocks, the blocks that
     replace it: itself, or if its K_b grows past _GROWTH, those of its two
-    halves, which are built together for all such blocks of the stack."""
+    halves, which are built together for all such blocks of the stack.
+
+    K_b is alpha times the inverse of the unit lower-triangular T_b = I +
+    alpha * tril(W_b W_b^T, -1); all of the stack's come from one stacked
+    product and one _unit_lower_inverse."""
     T = np.matmul(Ws, Ws.transpose(0, 2, 1))
     rows = np.arange(T.shape[1])
     T *= alpha * np.tri(len(rows), k=-1)  # alpha times the strict lower triangle
     T[:, rows, rows] = 1.0
-    K = np.linalg.inv(T)
+    K = _unit_lower_inverse(T)
     K *= alpha
     parts = [[block] for block in zip(Ws, K, zs)]
     grown = np.flatnonzero((np.abs(K, out=T).sum(axis=2) > _GROWTH * alpha).any(axis=1))
@@ -265,6 +270,35 @@ def _build(Ws, zs, alpha: float):
         for i, first, second in zip(grown, firsts, seconds):
             parts[i] = first + second
     return parts
+
+
+def _unit_lower_inverse(T):
+    """The inverses of the stack T of unit lower-triangular matrices, by
+    recursive doubling (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992).
+
+    Each matrix is padded with the identity to a side that is a power of
+    two. Once its diagonal blocks of side s are inverted in place, each
+    diagonal block of side 2s reads [[A^-1, 0], [C, B^-1]] with C still
+    T's, and its inverse is [[A^-1, 0], [-B^-1 C A^-1, B^-1]]. So each
+    doubling of s is two batched products over all those blocks at once.
+    """
+    n, m = T.shape[:2]
+    side = 1 << (m - 1).bit_length()
+    # A spare row makes the diagonal blocks a view: laid out flat, each
+    # matrix is side / b runs of b * (side + 1) entries, and run j, read as
+    # rows of side entries, starts at entry (j b, j b) of the matrix, so the
+    # first b columns of its first b rows are the j-th diagonal block of side b.
+    X = np.zeros((n, side + 1, side))
+    X[:, :side] = np.eye(side)
+    X[:, :m, :m] = T
+    s = 1
+    while s < side:
+        b = 2 * s
+        runs = X.reshape(n, side // b, b * (side + 1))[:, :, : b * side]
+        D = runs.reshape(n, side // b, b, side)[..., :b]
+        D[..., s:, :s] = -(D[..., s:, s:] @ D[..., s:, :s]) @ D[..., :s, :s]
+        s = b
+    return X[:, :m, :m]
 
 
 def _pass(blocks, C):
