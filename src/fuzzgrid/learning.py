@@ -147,11 +147,11 @@ def neurofuzzy_learn(
     flat_idx = np.flatnonzero(~np.isnan(conclusions.ravel()))
     c = conclusions.flat[flat_idx]
 
-    weights, targets = _tuning_weights(data, inputs, flat_idx)
+    weights = _tuning_weights(data, inputs, flat_idx)
     # Targets near the float limit can overflow the updates to inf and NaN,
     # and FuzzyModel would read a NaN conclusion as an empty cell.
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _sweep(weights, targets, c, cfg.alpha, cfg.epochs)
+        c = _sweep(weights, data.z, c, cfg.alpha, cfg.epochs)
     if not np.isfinite(c).all():
         raise ValueError("neuro-fuzzy tuning overflowed: a tuned conclusion is not finite")
 
@@ -215,6 +215,11 @@ def _sweep(W, targets, c, alpha: float, epochs: int):
     cells rows, and applies np.linalg.matrix_power(M, epochs) to [c; 1]:
     O(log epochs) products of (cells + 1) x (cells + 1) matrices, at
     any epoch count. Otherwise it runs epochs passes over c.
+
+    A zero row w leaves c as it is on both paths: T_b has an identity row
+    and column there, so K_b's are alpha * e_i, W_b^T multiplies that
+    residual by 0, and the row never grows K_b. Only a target z whose
+    alpha * z overflows to inf makes that product NaN, as in the loop.
     """
     if epochs == 0 or alpha == 0.0:
         return c
@@ -315,10 +320,10 @@ def _pass(blocks, C):
 def _tuning_weights(data: Dataset, inputs, flat_idx):
     """Normalized clamped activations of the filled cells, one row per example.
 
-    Weights never change across epochs, so they are built once. Examples
-    whose filled cells all have zero weight are dropped. Returns a
-    C-contiguous (kept examples, len(flat_idx)) array and the kept
-    targets as a float array.
+    Weights never change across epochs, so they are built once. An example
+    whose filled cells all have zero weight keeps a zero row, which leaves
+    every conclusion as it is (see _sweep). Returns a C-contiguous
+    (len(data), len(flat_idx)) array.
     """
     X = np.clip(data.X, [p.lo for p in inputs], [p.hi for p in inputs])
     W = activations(inputs, X)
@@ -327,9 +332,5 @@ def _tuning_weights(data: Dataset, inputs, flat_idx):
         # sums over contiguous rows in the last bit.
         W = np.ascontiguousarray(W[:, flat_idx])
     s = W.sum(axis=1)
-    targets = data.z
-    keep = s > 0.0
-    if not keep.all():
-        W, s, targets = W[keep], s[keep], targets[keep]
-    W /= s[:, None]
-    return W, targets
+    W /= np.where(s > 0.0, s, 1.0)[:, None]
+    return W

@@ -176,10 +176,10 @@ def tuning_weights(data, inputs, flat_idx):
     """The neuro-fuzzy learner's weight build, one example at a time.
 
     Clamped product-t-norm weights of the cells in flat_idx, normalized
-    per example; examples whose weights sum to zero are skipped. Unlike
-    the oracles above this is the original per-example code, scalar
-    Partition.degrees included, kept as the reference the batched build
-    must match bit for bit.
+    per example; an example whose weights sum to zero gets a zero row and
+    keeps its target. Unlike the oracles above this is the original
+    per-example code, scalar Partition.degrees included, kept as the
+    reference the batched build must match bit for bit.
     """
     weights = []
     targets = []
@@ -190,9 +190,7 @@ def tuning_weights(data, inputs, flat_idx):
             w = np.multiply.outer(w, p.degrees(min(max(v, p.lo), p.hi)))
         w = w.ravel()[flat_idx]
         s = w.sum()
-        if s <= 0.0:
-            continue
-        weights.append(w / s)
+        weights.append(w / s if s > 0.0 else np.zeros_like(w))
         targets.append(ex.z)
     return weights, targets
 

@@ -288,7 +288,7 @@ def applied_gradient(model, x, z):
     _tuning_weights, c the filled conclusions. It should be the gradient
     of (f(x) - z)^2 / 2 with respect to c."""
     flat_idx = np.flatnonzero(model.filled_mask().ravel())
-    W, _ = _tuning_weights(one(x, z), model.input_partitions, flat_idx)
+    W = _tuning_weights(one(x, z), model.input_partitions, flat_idx)
     return flat_idx, (W[0] @ model.conclusions.flat[flat_idx] - z) * W[0]
 
 
@@ -393,7 +393,7 @@ def test_tuning_weights_match_per_example_reference():
     narrow = [Partition(1, 11, 9, GAUSSIAN, 0.2), Partition(1, 11, 9, GAUSSIAN, 0.2)]
     half = make_plane_dataset(DataSpec(n=200, domain=((1.0, 6.0), (1.0, 11.0)), seed=2))
     # Narrower still around corner data: the far example has zero weight
-    # on every filled cell and is dropped.
+    # on every filled cell and gets a zero row.
     narrowest = [Partition(1, 11, 9, GAUSSIAN, 0.05), Partition(1, 11, 9, GAUSSIAN, 0.05)]
     corner = Dataset(
         [(9.8, 10.1), (10.4, 9.9), (10.9, 10.6), (11.0, 11.0), (-90.0, -90.0)],
@@ -402,20 +402,22 @@ def test_tuning_weights_match_per_example_reference():
     three = [Partition(0, 1, 4, GAUSSIAN, 0.7) for _ in range(3)]
     cube = np.random.default_rng(43).uniform(-0.2, 1.2, (50, 3))
     cases = [
-        (make_plane_dataset(DataSpec(n=300, noise_level=0.3, seed=5)), wide, 81, 300),
-        (half, narrow, 45, 200),
-        (corner, narrowest, 1, 4),
-        (Dataset(cube, [sum(x) for x in cube.tolist()]), three, 64, 50),
+        (make_plane_dataset(DataSpec(n=300, noise_level=0.3, seed=5)), wide, 81),
+        (half, narrow, 45),
+        (corner, narrowest, 1),
+        (Dataset(cube, [sum(x) for x in cube.tolist()]), three, 64),
     ]
-    for data, inputs, cells, rows in cases:
+    for data, inputs, cells in cases:
         filled = cluster_learn(data, inputs, out).filled_mask()
         flat_idx = np.flatnonzero(filled.ravel())
-        weights, targets = _tuning_weights(data, inputs, flat_idx)
+        weights = _tuning_weights(data, inputs, flat_idx)
         ref_weights, ref_targets = tuning_weights(data, inputs, flat_idx)
-        assert weights.shape == (rows, cells)
+        assert weights.shape == (len(data), cells)
         assert weights.flags.c_contiguous
         assert np.array_equal(weights, np.array(ref_weights))
-        assert np.array_equal(targets, ref_targets)
+        assert np.array_equal(data.z, ref_targets)
+        zero_rows = np.flatnonzero(~weights.any(axis=1))
+        assert zero_rows.tolist() == ([4] if data is corner else [])
 
 
 def assert_matches_loop(got, ref, *inputs):
@@ -563,14 +565,41 @@ def test_neurofuzzy_matches_per_example_loop(monkeypatch, n):
                 assert set(paths) == {False, True}
 
 
+def test_neurofuzzy_matches_per_example_loop_over_zero_weight_rows(monkeypatch):
+    # At width factor 0.05 the cluster init fills 22 cells of the noisy
+    # README data, and 16 of its 100 examples have zero weight on all of
+    # them: their zero rows must leave the conclusions as they are.
+    powered = spy_matrix_power(monkeypatch)
+    inputs = [Partition(1, 11, 9, GAUSSIAN, 0.05)] * 2
+    out = Partition(2, 22, 13, TRIANGULAR)
+    data = make_plane_dataset(DataSpec(n=100, noise_level=0.1, seed=0))
+    start = cluster_learn(data, inputs, out).conclusions
+    flat_idx = np.flatnonzero(~np.isnan(start).ravel())
+    weights, targets = tuning_weights(data, inputs, flat_idx)
+    assert sum(not w.any() for w in weights) == 16
+    counts = epochs_on_both_paths(len(data), len(flat_idx))
+    for alpha in (0.1, 0.8, 2.0):
+        paths = []
+        for epochs in counts:
+            ref = neurofuzzy_conclusions(weights, targets, start.flat[flat_idx], alpha, epochs)
+            calls = len(powered)
+            cfg = NeuroFuzzyConfig(alpha=alpha, epochs=epochs)
+            got = neurofuzzy_learn(data, inputs, out, cfg).conclusions
+            paths.append(len(powered) > calls)
+            assert np.array_equal(np.isnan(got), np.isnan(start))
+            assert_matches_loop(got.flat[flat_idx], ref)
+        assert set(paths) == {False, True}
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sweep_matches_per_example_loop(data):
     rows = data.draw(st.integers(1, 80), label="rows")
     cells = data.draw(st.integers(1, 20), label="cells")
     W = data.draw(hnp.arrays(np.float64, (rows, cells), elements=st.floats(0.0, 1.0)), label="W")
-    W[W.sum(axis=1) == 0.0] = 1.0
-    W /= W.sum(axis=1)[:, None]
+    # Rows of zeros stay: they are the examples with no weight on a filled cell.
+    s = W.sum(axis=1)
+    W /= np.where(s > 0.0, s, 1.0)[:, None]
     values = st.floats(-100.0, 100.0)
     targets = data.draw(hnp.arrays(np.float64, rows, elements=values), label="targets")
     c = data.draw(hnp.arrays(np.float64, cells, elements=values), label="c")
