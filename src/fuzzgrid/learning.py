@@ -76,18 +76,27 @@ def wm_learn(data: Dataset, inputs, output: Partition) -> FuzzyModel:
     idx = []
     degree = np.ones(len(data))
     for p, x in zip(inputs, data.X.T):
-        i = p.best(x)
-        degree = degree * p.degrees(x)[rows, i]
+        deg = p.degrees(x)
+        # In range the argmax is best's; above hi every degree may be 0,
+        # whose argmax is set 0, so rows out of range go through best.
+        i = deg.argmax(axis=1)
+        out = (x < p.lo) | (x > p.hi)
+        if out.any():
+            i[out] = p.best(x[out])
+        degree = degree * deg[rows, i]
         idx.append(i)
     cells = np.ravel_multi_index(idx, shape)
-    # Sort by cell, then by falling degree; lexsort is stable, so the
-    # earliest example leads each run of equal degrees.
-    order = np.lexsort((-degree, cells))
-    winners = order[np.diff(cells[order], prepend=-1) != 0]
     conclusions = np.full(shape, np.nan)
     degrees = np.full(shape, np.nan)
-    conclusions.flat[cells[winners]] = output.centers[output.best(data.z[winners])]
-    degrees.flat[cells[winners]] = degree[winners]
+    # Each cell's top degree, then the earliest example at that degree.
+    top = np.full(conclusions.size, -1.0)
+    np.maximum.at(top, cells, degree)
+    at_top = degree == top[cells]
+    first = np.full(conclusions.size, len(data))
+    np.minimum.at(first, cells[at_top], rows[at_top])
+    filled = np.flatnonzero(first < len(data))
+    conclusions.flat[filled] = output.centers[output.best(data.z[first[filled]])]
+    degrees.flat[filled] = top[filled]
     return FuzzyModel(inputs, output, conclusions, degrees)
 
 
@@ -98,24 +107,38 @@ def cluster_learn(data: Dataset, inputs, output: Partition) -> FuzzyModel:
     neighbourhood of cells; gaussian partitions give every example a
     nonzero weight everywhere, so no cell stays empty. Cells whose total
     weight never exceeds a small threshold are left empty rather than
-    divided by almost-zero.
+    divided by almost-zero. Raises ValueError when the weighted sum of a
+    filled cell overflows.
     """
     _check_data(data, inputs)
     kinds = {p.kind for p in inputs}
     if len(kinds) != 1:
         raise ValueError("input partitions must all share one membership kind")
-    # In place: z @ W would sum in BLAS order and change the last bits, and
-    # W * z[:, None] would allocate a second (N, cells) array. Targets near
-    # the float limit overflow the sums row by row to +-inf, never NaN, and
-    # FuzzyModel refuses inf, so the overflow warning is off.
-    W = activations(inputs, data.X)
-    den = W.sum(axis=0)
-    W *= data.z[:, None]
-    conclusions = np.full(den.shape, np.nan)
-    ok = den > EMPTY_WEIGHT_THRESHOLD
-    with np.errstate(over="ignore"):
-        num = W.sum(axis=0)
+    # Targets near the float limit overflow the sums: to inf row by row, and
+    # to inf or NaN (inf - inf) in a matrix product. FuzzyModel would read a
+    # NaN conclusion as an empty cell, so the check below raises instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if GAUSSIAN in kinds:
+            # The weights are products over the inputs, so the sums factor:
+            # with A the weights of the cells of all inputs but the last and
+            # D the last input's degrees, den = A^T D and num = A^T (D * z).
+            A = activations(inputs[:-1], data.X[:, :-1])
+            D = inputs[-1].degrees(data.X[:, -1])
+            den = A.T.dot(D)
+            D *= data.z[:, None]
+            num = A.T.dot(D)
+        else:
+            # Row by row, in place: C02 pins these sums bit for bit against
+            # oracles.cluster_grid, and a matrix product adds in another order.
+            W = activations(inputs, data.X)
+            den = W.sum(axis=0)
+            W *= data.z[:, None]
+            num = W.sum(axis=0)
+        conclusions = np.full(den.shape, np.nan)
+        ok = den > EMPTY_WEIGHT_THRESHOLD
         conclusions[ok] = num[ok] / den[ok]
+    if not np.isfinite(conclusions[ok]).all():
+        raise ValueError("cluster conclusions must be finite: a weighted sum overflowed")
     return FuzzyModel(inputs, output, conclusions.reshape(tuple(p.n for p in inputs)))
 
 
@@ -147,11 +170,11 @@ def neurofuzzy_learn(
     flat_idx = np.flatnonzero(~np.isnan(conclusions.ravel()))
     c = conclusions.flat[flat_idx]
 
-    weights = _tuning_weights(data, inputs, flat_idx)
+    weights, targets = _tuning_weights(data, inputs, flat_idx)
     # Targets near the float limit can overflow the updates to inf and NaN,
     # and FuzzyModel would read a NaN conclusion as an empty cell.
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _sweep(weights, data.z, c, cfg.alpha, cfg.epochs)
+        c = _sweep(weights, targets, c, cfg.alpha, cfg.epochs)
     if not np.isfinite(c).all():
         raise ValueError("neuro-fuzzy tuning overflowed: a tuned conclusion is not finite")
 
@@ -218,8 +241,9 @@ def _sweep(W, targets, c, alpha: float, epochs: int):
 
     A zero row w leaves c as it is on both paths: T_b has an identity row
     and column there, so K_b's are alpha * e_i, W_b^T multiplies that
-    residual by 0, and the row never grows K_b. Only a target z whose
-    alpha * z overflows to inf makes that product NaN, as in the loop.
+    residual by 0, and the row never grows K_b. Its target must keep
+    alpha * z finite, or that product is 0 * inf = NaN, as in the loop;
+    _tuning_weights gives it the target 0.
     """
     if epochs == 0 or alpha == 0.0:
         return c
@@ -318,12 +342,13 @@ def _pass(blocks, C):
 
 
 def _tuning_weights(data: Dataset, inputs, flat_idx):
-    """Normalized clamped activations of the filled cells, one row per example.
+    """Normalized clamped activations of the filled cells, one row per
+    example, and the examples' targets.
 
     Weights never change across epochs, so they are built once. An example
     whose filled cells all have zero weight keeps a zero row, which leaves
-    every conclusion as it is (see _sweep). Returns a C-contiguous
-    (len(data), len(flat_idx)) array.
+    every conclusion as it is (see _sweep), and the target 0. Returns a
+    C-contiguous (len(data), len(flat_idx)) array and a (len(data),) one.
     """
     X = np.clip(data.X, [p.lo for p in inputs], [p.hi for p in inputs])
     W = activations(inputs, X)
@@ -332,5 +357,6 @@ def _tuning_weights(data: Dataset, inputs, flat_idx):
         # sums over contiguous rows in the last bit.
         W = np.ascontiguousarray(W[:, flat_idx])
     s = W.sum(axis=1)
-    W /= np.where(s > 0.0, s, 1.0)[:, None]
-    return W
+    weighted = s > 0.0
+    W /= np.where(weighted, s, 1.0)[:, None]
+    return W, np.where(weighted, data.z, 0.0)

@@ -10,7 +10,8 @@ zero, which trades the partition-of-unity property for global support.
 Where inputs outside [lo, hi] are clamped into range, and where not:
 
 - Partition.degrees and activations do not clamp. cluster_learn's
-  weights (activations) and the wm_learn implication degree (degrees)
+  weights (activations, and for gaussian sets the last input's degrees
+  in a matrix product) and the wm_learn implication degree (degrees)
   come straight from them: an out-of-range example counts less than it
   would at the edge, and fades to nothing far outside.
 - The neuro-fuzzy learner clamps its examples before it calls
@@ -18,7 +19,9 @@ Where inputs outside [lo, hi] are clamped into range, and where not:
   weights, infer and the grid evaluations see clamped inputs: an
   out-of-range query resolves to the nearest edge region.
 - Partition.best clamps, so wm_learn's cell choice and the output-set
-  quantization see clamped values.
+  quantization see clamped values. (wm_learn takes an in-range input's
+  set from the argmax of its degrees, which clamping would not change,
+  and calls best only for inputs out of range.)
 """
 
 from __future__ import annotations
@@ -133,7 +136,8 @@ def activations(partitions, X) -> np.ndarray:
     it does not clamp. Returns a C-contiguous (N, cells) array, cells in C
     order of the grid (p1.n, ..., pd.n). Each weight is the left-to-right
     product of its degrees, bit-identical to chained np.multiply.outer on
-    one row. An X of any other shape raises ValueError.
+    one row; with no partitions it is the empty product 1, in one cell.
+    An X of any other shape raises ValueError.
     """
     if X.ndim != 2 or X.shape[1] != len(partitions):
         raise ValueError(f"X must have shape (N, {len(partitions)}), got {X.shape}")
@@ -141,4 +145,4 @@ def activations(partitions, X) -> np.ndarray:
     for p, x in zip(partitions, X.T):
         deg = p.degrees(x)
         W = deg if W is None else np.einsum("ni,nj->nij", W, deg).reshape(len(deg), -1)
-    return W
+    return np.ones((len(X), 1)) if W is None else W

@@ -177,7 +177,7 @@ def tuning_weights(data, inputs, flat_idx):
 
     Clamped product-t-norm weights of the cells in flat_idx, normalized
     per example; an example whose weights sum to zero gets a zero row and
-    keeps its target. Unlike the oracles above this is the original
+    the target 0. Unlike the oracles above this is the original
     per-example code, scalar Partition.degrees included, kept as the
     reference the batched build must match bit for bit.
     """
@@ -191,7 +191,7 @@ def tuning_weights(data, inputs, flat_idx):
         w = w.ravel()[flat_idx]
         s = w.sum()
         weights.append(w / s if s > 0.0 else np.zeros_like(w))
-        targets.append(ex.z)
+        targets.append(ex.z if s > 0.0 else 0.0)
     return weights, targets
 
 

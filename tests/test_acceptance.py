@@ -112,7 +112,7 @@ def test_c03_gradient_matches_finite_differences():
         conclusions = rng.uniform(0, 20, size=(n, n))
         x = (float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
         z = float(rng.uniform(0, 20))
-        W = _tuning_weights(Dataset([x], [z]), [px, py], np.arange(n * n))
+        W, _ = _tuning_weights(Dataset([x], [z]), [px, py], np.arange(n * n))
         analytic = (W[0] @ conclusions.ravel() - z) * W[0]
         fd = []
         for idx in np.ndindex(n, n):

@@ -174,6 +174,28 @@ def test_wm_matches_exhaustive_oracle():
             assert np.array_equal(m.degrees, degrees, equal_nan=True)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_wm_matches_exhaustive_oracle_with_ties_and_far_inputs(dim):
+    # Values at the centers and at the midpoints, where two sets tie, and
+    # far outside [0, 10] on both sides, where every degree is 0 and the
+    # cell still comes from the clamped value. Repeated rows tie in degree.
+    rng = np.random.default_rng(dim)
+    inputs = [Partition(0, 10, 5, TRIANGULAR) for _ in range(dim)]
+    out = Partition(0, 30, 13, TRIANGULAR)
+    far = [-1e300, -1e6, -0.5, 10.5, 1e6, 1e300]
+    values = np.concatenate([np.linspace(0, 10, 9), rng.uniform(0, 10, 9), far])
+    X = rng.choice(values, size=(60, dim))
+    X = np.concatenate([[[v] * dim for v in far], X, X[:20]])
+    data = Dataset(X, rng.uniform(0, 30, len(X)))
+    # Alone, inputs far above the range fill the last cell with degree 0.
+    above = Dataset([[1e6] * dim, [1e300] * dim], [3.0, 4.0])
+    for d in (data, above):
+        m = wm_learn(d, inputs, out)
+        conclusions, degrees = wm_grid(d, inputs, out)
+        assert np.array_equal(m.conclusions, conclusions, equal_nan=True)
+        assert np.array_equal(m.degrees, degrees, equal_nan=True)
+
+
 def test_wm_conclusions_are_output_centers():
     rng = np.random.default_rng(23)
     inputs, out = tri_parts(n=5)
@@ -228,6 +250,24 @@ def test_cluster_matches_naive_oracle():
             assert np.allclose(
                 m.conclusions, expected, rtol=1e-12, atol=1e-12, equal_nan=True
             )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_cluster_matches_naive_oracle(dim):
+    # Gaussian sums are matrix products, which add in another order than
+    # the oracle: the gate is 1e-12 of max|z|, with the same empty cells.
+    # Some examples lie outside [0, 10], two far enough to weigh nothing.
+    rng = np.random.default_rng(53 + dim)
+    out = Partition(-20, 20, 13, TRIANGULAR)
+    for wf in (0.05, 0.2, 0.5, 1.0, 2.0):
+        inputs = [Partition(0, 10, 4, GAUSSIAN, wf) for _ in range(dim)]
+        X = np.concatenate([rng.uniform(-2, 12, (40, dim)), [[-1e3] * dim, [1e3] * dim]])
+        data = Dataset(X, rng.uniform(-20, 20, len(X)))
+        got = cluster_learn(data, inputs, out).conclusions
+        ref = cluster_grid(data, inputs, out)
+        filled = ~np.isnan(ref)
+        assert np.array_equal(~np.isnan(got), filled)
+        assert np.abs(got[filled] - ref[filled]).max() <= 1e-12 * np.abs(data.z).max()
 
 
 def test_cluster_conclusions_are_convex_combinations():
@@ -288,7 +328,7 @@ def applied_gradient(model, x, z):
     _tuning_weights, c the filled conclusions. It should be the gradient
     of (f(x) - z)^2 / 2 with respect to c."""
     flat_idx = np.flatnonzero(model.filled_mask().ravel())
-    W = _tuning_weights(one(x, z), model.input_partitions, flat_idx)
+    W, _ = _tuning_weights(one(x, z), model.input_partitions, flat_idx)
     return flat_idx, (W[0] @ model.conclusions.flat[flat_idx] - z) * W[0]
 
 
@@ -410,12 +450,12 @@ def test_tuning_weights_match_per_example_reference():
     for data, inputs, cells in cases:
         filled = cluster_learn(data, inputs, out).filled_mask()
         flat_idx = np.flatnonzero(filled.ravel())
-        weights = _tuning_weights(data, inputs, flat_idx)
+        weights, targets = _tuning_weights(data, inputs, flat_idx)
         ref_weights, ref_targets = tuning_weights(data, inputs, flat_idx)
         assert weights.shape == (len(data), cells)
         assert weights.flags.c_contiguous
         assert np.array_equal(weights, np.array(ref_weights))
-        assert np.array_equal(data.z, ref_targets)
+        assert np.array_equal(targets, ref_targets)
         zero_rows = np.flatnonzero(~weights.any(axis=1))
         assert zero_rows.tolist() == ([4] if data is corner else [])
 
@@ -730,6 +770,27 @@ def test_learners_refuse_targets_that_overflow(epochs):
         cluster_learn(data, inputs, out)
     with pytest.raises(ValueError, match="must be finite"):
         neurofuzzy_learn(data, inputs, out, NeuroFuzzyConfig(alpha=1.0, epochs=epochs))
+
+
+@pytest.mark.parametrize("pays", [False, True])
+def test_neurofuzzy_zero_weight_row_keeps_an_overflowing_target_out(monkeypatch, pays):
+    # The far example has zero weight on the one filled cell, and at
+    # alpha = 2 its alpha * z overflows. Its zero row must leave the
+    # conclusions as training without it does, on both paths of _sweep,
+    # not turn 0 * inf into NaN.
+    monkeypatch.setattr(learning, "_powering_pays", lambda *a: pays)
+    inputs = [Partition(1, 11, 9, GAUSSIAN, 0.05)] * 2
+    out = Partition(2, 22, 13, TRIANGULAR)
+    X = [(9.8, 10.1), (10.4, 9.9), (10.9, 10.6), (11.0, 11.0), (-90.0, -90.0)]
+    z = [19.9, 20.3, 21.5, 22.0, 1.5e308]
+    cfg = NeuroFuzzyConfig(alpha=2.0, epochs=5)
+    got = neurofuzzy_learn(Dataset(X, z), inputs, out, cfg).conclusions
+    ref = neurofuzzy_learn(Dataset(X[:-1], z[:-1]), inputs, out, cfg).conclusions
+    filled = ~np.isnan(ref)
+    assert filled.sum() == 1
+    assert np.array_equal(~np.isnan(got), filled)
+    assert np.isfinite(got[filled]).all()
+    assert_matches_loop(got[filled], ref[filled])
 
 
 @pytest.mark.parametrize(
