@@ -158,11 +158,28 @@ def run_pair(cfg: ExperimentConfig, seed: int):
 
     Both datasets share the seed, so they share the same underlying
     clean inputs; only the stored coordinates of the noisy one are
-    perturbed.
+    perturbed. The datasets come from _dataset, which keeps the last two
+    built, so consecutive calls at one seed and data recipe (n, domain,
+    distribution, noise level) build them once. The cells of a preset
+    share the recipe, apart from datasize's n and noise-levels' noise
+    level. The datasets are read-only and never leave this function.
     """
-    clean = train_model(cfg, make_plane_dataset(_data_spec(cfg, seed, 0.0)))
-    noisy = train_model(cfg, make_plane_dataset(_data_spec(cfg, seed, cfg.noise_level)))
+    clean = train_model(cfg, _dataset(_data_spec(cfg, seed, 0.0)))
+    noisy = train_model(cfg, _dataset(_data_spec(cfg, seed, cfg.noise_level)))
     return clean, noisy, difference_surface(clean, noisy, cfg.resolution)
+
+
+# Two entries hold one seed's clean and noisy datasets; noise-levels' cells
+# also share the clean one. Keyed by the frozen spec, never by identity.
+@functools.lru_cache(maxsize=2)
+def _dataset(spec: DataSpec):
+    """make_plane_dataset(spec), with X and z read-only: every run_pair
+    call at this spec trains on the same arrays, so a learner that wrote
+    to them would change the next cell's data. Writing raises instead."""
+    data = make_plane_dataset(spec)
+    data.X.flags.writeable = False
+    data.z.flags.writeable = False
+    return data
 
 
 def _data_spec(cfg: ExperimentConfig, seed: int, noise_level: float) -> DataSpec:
@@ -177,22 +194,41 @@ def _data_spec(cfg: ExperimentConfig, seed: int, noise_level: float) -> DataSpec
 
 
 def run_cell(cfg: ExperimentConfig, trials: int) -> dict:
-    """Medians of the diff metrics over trials seeds (cfg.seed XOR t)."""
-    rmses, max_abses, changes, gaps = [], [], [], []
+    """Medians of the diff metrics over trials seeds (cfg.seed XOR t),
+    run_pair called in seed order; see run_cells."""
+    return run_cells([cfg], trials)[0]
+
+
+def run_cells(cells, trials: int) -> list:
+    """run_cell's medians for each cell, in cell order.
+
+    The loop is trial-major: trial t runs run_pair(cfg, cfg.seed XOR t)
+    for every cell before trial t + 1 starts, so cells that share a seed
+    and data recipe reuse that seed's datasets (see run_pair). Only four
+    numbers per cell and trial are kept, never the models or reports.
+    Raises ValueError when trials is below 1.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    metrics = [([], [], [], []) for _ in cells]
     for t in range(trials):
-        _, _, report = run_pair(cfg, cfg.seed ^ t)
-        if report.rmse is not None:
-            rmses.append(report.rmse)
-            max_abses.append(report.max_abs)
-        rc = report.rule_changes
-        changes.append(rc["changed"] + rc["only_a"] + rc["only_b"])
-        gaps.append(report.gap_fraction)
-    return {
-        "median_rmse": statistics.median(rmses) if rmses else None,
-        "median_max_abs": statistics.median(max_abses) if max_abses else None,
-        "median_rule_changes": statistics.median(changes),
-        "median_gap_fraction": statistics.median(gaps),
-    }
+        for cfg, (rmses, max_abses, changes, gaps) in zip(cells, metrics):
+            _, _, report = run_pair(cfg, cfg.seed ^ t)
+            if report.rmse is not None:
+                rmses.append(report.rmse)
+                max_abses.append(report.max_abs)
+            rc = report.rule_changes
+            changes.append(rc["changed"] + rc["only_a"] + rc["only_b"])
+            gaps.append(report.gap_fraction)
+    return [
+        {
+            "median_rmse": statistics.median(rmses) if rmses else None,
+            "median_max_abs": statistics.median(max_abses) if max_abses else None,
+            "median_rule_changes": statistics.median(changes),
+            "median_gap_fraction": statistics.median(gaps),
+        }
+        for rmses, max_abses, changes, gaps in metrics
+    ]
 
 
 def preset_cells(preset: str, base: ExperimentConfig, algo: str | None = None):
@@ -221,7 +257,7 @@ def _print_metrics(rmse, max_abs, gap_fraction) -> None:
 
 def summary_rows(preset: str, cells, trials: int) -> list:
     rows = [",".join(SUMMARY_COLUMNS)]
-    for cfg in cells:
+    for cfg, medians in zip(cells, run_cells(cells, trials)):
         tuned = cfg.algorithm == NEUROFUZZY
         row = {
             "preset": preset,
@@ -235,7 +271,7 @@ def summary_rows(preset: str, cells, trials: int) -> list:
             "init": cfg.init if tuned else None,
             "distribution": cfg.distribution,
             "trials": trials,
-            **run_cell(cfg, trials),
+            **medians,
         }
         rows.append(",".join(_fmt(row[column]) for column in SUMMARY_COLUMNS))
     return rows

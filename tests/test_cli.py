@@ -344,6 +344,54 @@ def test_resolution_over_the_limit_exits_1(capsys, tmp_path, command):
 
 
 # ---------------------------------------------------------------------------
+# trials: run_pair, run_cell, run_cells
+
+def ladder_cells(seed=0):
+    return cli.preset_cells("algorithm-ladder", ExperimentConfig(cli.SIMPLIFIED, seed=seed))
+
+
+def test_run_pair_builds_a_seeds_datasets_once(monkeypatch):
+    built = []
+    make = cli.make_plane_dataset
+    monkeypatch.setattr(cli, "make_plane_dataset", lambda spec: built.append(spec) or make(spec))
+    cli._dataset.cache_clear()
+    cells = ladder_cells()
+    for cfg in cells:
+        cli.run_pair(cfg, 5)
+    assert [(spec.seed, spec.noise_level) for spec in built] == [(5, 0.0), (5, 0.1)]
+    # A new seed builds again, and so does a new n at that seed.
+    cli.run_pair(cells[0], 6)
+    cli.run_pair(dataclasses.replace(cells[0], n_examples=50), 6)
+    assert [(spec.seed, spec.n) for spec in built[2:]] == [(6, 100)] * 2 + [(6, 50)] * 2
+    # The shared arrays are read-only; the public generator's stay writeable.
+    shared = cli._dataset(built[-1])
+    assert len(built) == 6
+    assert not shared.X.flags.writeable and not shared.z.flags.writeable
+    assert make(built[-1]).X.flags.writeable
+
+
+def test_run_cells_runs_every_cell_at_a_seed_before_the_next(monkeypatch):
+    cells = ladder_cells(seed=6)
+    expected = [cli.run_cell(cfg, 2) for cfg in cells]
+    visits = []
+    run_pair = cli.run_pair
+    monkeypatch.setattr(
+        cli, "run_pair", lambda cfg, seed: visits.append((cfg.algorithm, seed)) or run_pair(cfg, seed)
+    )
+    assert cli.run_cells(cells, 2) == expected
+    assert visits == [(cfg.algorithm, 6 ^ t) for t in range(2) for cfg in cells]
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_cells_rejects_trial_counts_below_one(monkeypatch, trials):
+    monkeypatch.setattr(cli, "run_pair", lambda *args: pytest.fail("a pair was trained"))
+    with pytest.raises(ValueError, match="^trials must be at least 1$"):
+        cli.run_cell(ExperimentConfig(cli.SIMPLIFIED), trials)
+    with pytest.raises(ValueError, match="^trials must be at least 1$"):
+        cli.run_cells(ladder_cells(), trials)
+
+
+# ---------------------------------------------------------------------------
 # sweep
 
 def test_sweep_refuses_models_over_the_cell_limit(capsys, tmp_path, monkeypatch):

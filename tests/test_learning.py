@@ -857,3 +857,35 @@ def test_cluster_fit_improves_with_more_data():
     small = statistics.median(rms(100, s) for s in range(10))
     large = statistics.median(rms(400, s) for s in range(10))
     assert large <= small
+
+
+def test_learners_take_read_only_data():
+    # Sweep cells share one seed's datasets, whose arrays are read-only.
+    # Every learner must train on them as on writeable arrays, to the bit.
+    # The domain reaches past the sets, so wm_learn's fallback to best and
+    # the neuro-fuzzy clamp run too; 1 and 50 epochs take both paths of
+    # _sweep.
+    spec = DataSpec(n=100, domain=((0.0, 12.0),) * 2, noise_level=0.1, seed=2)
+    writeable = make_plane_dataset(spec)
+    frozen = make_plane_dataset(spec)
+    frozen.X.flags.writeable = frozen.z.flags.writeable = False
+    tri = [Partition(1, 11, 9, TRIANGULAR)] * 2
+    gauss = [Partition(1, 11, 9, GAUSSIAN)] * 2
+    out = Partition(2, 22, 13, TRIANGULAR)
+    assert [_powering_pays(len(writeable), 81, e) for e in (1, 50)] == [False, True]
+    learners = [
+        lambda data: wm_learn(data, tri, out),
+        lambda data: cluster_learn(data, tri, out),
+        lambda data: cluster_learn(data, gauss, out),
+    ] + [
+        lambda data, cfg=NeuroFuzzyConfig(epochs=epochs, init=init): neurofuzzy_learn(
+            data, gauss, out, cfg
+        )
+        for init in INITS
+        for epochs in (1, 50)
+    ]
+    for learn in learners:
+        a, b = learn(frozen), learn(writeable)
+        assert a.conclusions.tobytes() == b.conclusions.tobytes()
+        assert a.degrees.tobytes() == b.degrees.tobytes()
+    assert frozen == writeable
