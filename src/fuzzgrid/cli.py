@@ -128,19 +128,26 @@ class ExperimentConfig:
 
 
 def build_partitions(cfg: ExperimentConfig):
-    """The input and output partitions of cfg's model.
+    """The input partitions (a tuple) and the output partition of cfg's model.
 
     A grid or output partition over MAX_MODEL_CELLS, which load_model
-    would refuse, raises ValueError before any partition is built.
+    would refuse, raises ValueError before any partition is built. The
+    partitions come from _partitions, so every model of one structure
+    shares the same Partition objects.
     """
-    kind = ALGO_KIND[cfg.algorithm]
-    check_model_size([cfg.input_sets] * len(cfg.domain), cfg.output_sets)
-    inputs = [
-        Partition(lo, hi, cfg.input_sets, kind, cfg.width_factor)
-        for lo, hi in cfg.domain
-    ]
-    output = Partition(cfg.out_lo, cfg.out_hi, cfg.output_sets, TRIANGULAR)
-    return inputs, output
+    return _partitions(
+        ALGO_KIND[cfg.algorithm], cfg.input_sets, cfg.width_factor, cfg.domain,
+        cfg.output_sets, cfg.out_lo, cfg.out_hi,
+    )
+
+
+# Keyed by the fields that fix the partitions, never by identity. Eight
+# entries hold partition-sweep's eight structures (two kinds, four counts).
+@functools.lru_cache(maxsize=8)
+def _partitions(kind, input_sets, width_factor, domain, output_sets, out_lo, out_hi):
+    check_model_size([input_sets] * len(domain), output_sets)
+    inputs = tuple(Partition(lo, hi, input_sets, kind, width_factor) for lo, hi in domain)
+    return inputs, Partition(out_lo, out_hi, output_sets, TRIANGULAR)
 
 
 def train_model(cfg: ExperimentConfig, data) -> FuzzyModel:

@@ -12,11 +12,13 @@ them would hide exactly the pathology worth measuring.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .inference import FuzzyModel, rule_diff
+from .membership import Partition
 
 
 def plane_truth(x, y):
@@ -29,17 +31,37 @@ def plane_truth(x, y):
 # other's numerator and denominator are summed, with a window term's
 # weights and table values on a triangular grid): about 40 MB at
 # resolution 1000 and 0.7 GB at 4096, where 2**24 points take 128 MB per
-# array. At resolution 4096 a diff of two 9-set triangular models peaked
-# at 800 MB resident, one of two 9-set gaussian models at 608 MB, and an
-# eval of one gaussian model at 560 MB (2 vCPUs, numpy 2.4.6).
+# array. The grid cache (_evaluation) keeps (n + 1) * resolution 8-byte
+# numbers per partition of n sets, 0.33 MB for 9 sets at 4096.
+# At resolution 4096 (2 vCPUs, numpy 2.4.6) `fuzzgrid diff` of two 9-set
+# triangular models peaked at 799 MB resident and of two 9-set gaussian
+# ones at 609 MB; `fuzzgrid eval` of one such model at 671 MB and 432 MB.
 MAX_RESOLUTION = 4096
+
+
+# Eight entries hold the 9-set triangular and gaussian axes of the ladder,
+# or all 8 partitions of partition-sweep, at one resolution.
+@functools.lru_cache(maxsize=8)
+def _evaluation(p: Partition, resolution: int):
+    """The resolution-point grid axis over p's range and its clamped
+    degree matrix, both read-only.
+
+    Keyed by value, so equal partitions (the clean and noisy models', and
+    both inputs of a square domain) share one entry. The cache keeps the
+    last 8 entries, each (n + 1) * resolution 8-byte numbers for n sets.
+    """
+    axis = np.linspace(p.lo, p.hi, resolution)
+    mat = p.degrees(np.clip(axis, p.lo, p.hi))
+    axis.flags.writeable = mat.flags.writeable = False
+    return axis, mat
 
 
 def grid_axes(model: FuzzyModel, resolution: int):
     """The x and y axes of the resolution x resolution grid over model's domain.
 
     model.outputs(grid_axes(model, resolution)) is the model on that grid:
-    rows index x, columns index y, NaN at coverage gaps.
+    rows index x, columns index y, NaN at coverage gaps. The axes are
+    read-only and shared by every model with equal partitions.
     """
     if model.dim != 2:
         raise ValueError("grid evaluation supports 2-input models only")
@@ -47,10 +69,13 @@ def grid_axes(model: FuzzyModel, resolution: int):
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     if resolution > MAX_RESOLUTION:
         raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
-    px, py = model.input_partitions
-    xs = np.linspace(px.lo, px.hi, resolution)
-    ys = np.linspace(py.lo, py.hi, resolution)
-    return xs, ys
+    return tuple(_evaluation(p, resolution)[0] for p in model.input_partitions)
+
+
+def _grid(model: FuzzyModel, resolution: int) -> np.ndarray:
+    """model.outputs(grid_axes(model, resolution)), bit for bit, from the
+    cached degree matrices."""
+    return model.center_average([_evaluation(p, resolution)[1] for p in model.input_partitions])
 
 
 @dataclass
@@ -65,26 +90,33 @@ class DiffReport:
 
 
 def _aggregate(grid: np.ndarray):
-    valid = ~np.isnan(grid)
-    if valid.any():
-        rmse = float(np.sqrt(np.mean(grid[valid] ** 2)))
-        max_abs = float(np.max(np.abs(grid[valid])))
+    values = grid[~np.isnan(grid)]
+    if values.size:
+        rmse = float(np.sqrt(np.mean(values**2)))
+        max_abs = float(np.max(np.abs(values)))
     else:
         rmse = None
         max_abs = None
-    gap_fraction = float(1.0 - valid.mean())
+    gap_fraction = 1.0 - values.size / grid.size
     return rmse, max_abs, gap_fraction
 
 
 def difference_surface(clean: FuzzyModel, noisy: FuzzyModel, resolution: int = 50) -> DiffReport:
-    """noisy minus clean on a shared grid, plus rule-base corruption."""
+    """noisy minus clean on a shared grid, plus rule-base corruption.
+
+    A pair that rule_diff refuses (other grid shapes or output partitions)
+    raises before any grid axis is built or evaluated.
+    """
     for pa, pb in zip(clean.input_partitions, noisy.input_partitions):
         if not pa.same_axis(pb):
             raise ValueError(
                 f"input domains differ: [{pa.lo}, {pa.hi}] vs [{pb.lo}, {pb.hi}]"
             )
+    rule_changes = rule_diff(clean, noisy)
     xs, ys = grid_axes(clean, resolution)
-    diff = noisy.outputs((xs, ys)) - clean.outputs((xs, ys))
+    # noisy's axes are clean's: the same ranges at the same resolution
+    diff = _grid(noisy, resolution)
+    diff -= _grid(clean, resolution)
     rmse, max_abs, gap_fraction = _aggregate(diff)
     return DiffReport(
         xs=xs,
@@ -93,15 +125,16 @@ def difference_surface(clean: FuzzyModel, noisy: FuzzyModel, resolution: int = 5
         rmse=rmse,
         max_abs=max_abs,
         gap_fraction=gap_fraction,
-        rule_changes=rule_diff(clean, noisy),
+        rule_changes=rule_changes,
     )
 
 
 def model_error(model: FuzzyModel, resolution: int = 50) -> dict:
     """Fit against plane_truth on the same grid protocol."""
     xs, ys = grid_axes(model, resolution)
-    target = plane_truth(xs[:, None], ys[None, :])
-    rmse, max_abs, gap_fraction = _aggregate(model.outputs((xs, ys)) - target)
+    errors = _grid(model, resolution)
+    errors -= plane_truth(xs[:, None], ys[None, :])
+    rmse, max_abs, gap_fraction = _aggregate(errors)
     return {"rmse": rmse, "max_abs": max_abs, "gap_fraction": gap_fraction}
 
 

@@ -70,17 +70,25 @@ class FuzzyModel:
         axes holds one 1-D coordinate array per input. Each is clamped into
         its partition's range, so out-of-range queries resolve to the
         nearest edge region instead of fading to nothing. An axis count
-        other than the input count raises ValueError.
-
-        A two-input grid of triangular partitions with at least three
-        points per axis sums only each point's support window, 2 or 3 sets
-        wide on every axis (_window_sums). Every other grid (gaussian or
-        mixed kinds, other input counts, one or two points on an axis)
-        takes one matrix product per axis (_contract).
+        other than the input count raises ValueError. The degrees of the
+        clamped axes go to center_average.
         """
         if len(axes) != self.dim:
             raise ValueError(f"expected {self.dim} axes, got {len(axes)}")
-        mats = [p.degrees(np.clip(a, p.lo, p.hi)) for p, a in zip(self.input_partitions, axes)]
+        return self.center_average(
+            [p.degrees(np.clip(a, p.lo, p.hi)) for p, a in zip(self.input_partitions, axes)]
+        )
+
+    def center_average(self, mats) -> np.ndarray:
+        """The output grid from one (points, sets) degree matrix per input.
+
+        mats[i] holds the degrees of input i's clamped grid points, as
+        outputs computes them. A two-input grid of triangular partitions
+        with at least three points per axis sums only each point's support
+        window, 2 or 3 sets wide on every axis (_window_sums). Every other grid
+        (gaussian or mixed kinds, other input counts, one or two points on
+        an axis) takes one matrix product per axis (_contract).
+        """
         mask = self.filled_mask()
         tables = (np.where(mask, self.conclusions, 0.0), mask.astype(float))
         # The window sum keeps the bits of an einsum over every cell, which
@@ -189,14 +197,15 @@ def rule_diff(a: FuzzyModel, b: FuzzyModel) -> dict:
         raise ValueError(f"output partitions differ: {pa!r} vs {pb!r}")
     fa, fb = a.filled_mask(), b.filled_mask()
     both = fa & fb
+    shared = int(np.count_nonzero(both))
     sa = pa.best(a.conclusions[both])
     sb = pb.best(b.conclusions[both])
     changed = int(np.count_nonzero(sa != sb))
     return {
-        "unchanged": int(np.count_nonzero(both)) - changed,
+        "unchanged": shared - changed,
         "changed": changed,
-        "only_a": int(np.count_nonzero(fa & ~fb)),
-        "only_b": int(np.count_nonzero(fb & ~fa)),
+        "only_a": int(np.count_nonzero(fa)) - shared,
+        "only_b": int(np.count_nonzero(fb)) - shared,
     }
 
 

@@ -40,8 +40,10 @@ class Partition:
 
     Centers sit at lo + i * spacing with the last center pinned to hi
     exactly (guards against accumulated rounding when (hi - lo) / (n - 1)
-    is not representable). Instances are immutable by convention; nothing
-    mutates them after construction.
+    is not representable). Instances are immutable: nothing mutates them
+    after construction, and centers is read-only. The partition and grid
+    caches share equal partitions by value, so a bound of -0.0 is stored
+    as 0.0 and equal partitions print alike.
     """
 
     def __init__(self, lo, hi, n, kind, width_factor=DEFAULT_WIDTH_FACTOR):
@@ -54,14 +56,15 @@ class Partition:
             raise ValueError(f"unknown membership kind {kind!r}")
         if not 0 < width_factor < np.inf:
             raise ValueError(f"invalid width factor: {width_factor} (must be finite and > 0)")
-        self.lo = float(lo)
-        self.hi = float(hi)
+        self.lo = float(lo) + 0.0
+        self.hi = float(hi) + 0.0
         self.n = int(n)
         self.kind = kind
         self.width_factor = float(width_factor)
         self.spacing = (self.hi - self.lo) / (self.n - 1)
         centers = self.lo + self.spacing * np.arange(self.n, dtype=float)
         centers[-1] = self.hi
+        centers.flags.writeable = False
         self.centers = centers
         # half-base of a triangular set, sigma of a gaussian one
         self.width = self.spacing if kind == TRIANGULAR else self.width_factor * self.spacing

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import operator
 import subprocess
 import sys
 from pathlib import Path
@@ -389,6 +390,39 @@ def test_run_cells_rejects_trial_counts_below_one(monkeypatch, trials):
         cli.run_cell(ExperimentConfig(cli.SIMPLIFIED), trials)
     with pytest.raises(ValueError, match="^trials must be at least 1$"):
         cli.run_cells(ladder_cells(), trials)
+
+
+def test_build_partitions_shares_one_structure_by_value(monkeypatch):
+    cli._partitions.cache_clear()
+    built = []
+    make = cli.Partition
+    monkeypatch.setattr(cli, "Partition", lambda *args: built.append(args) or make(*args))
+    cells = ladder_cells()
+    first = [cli.build_partitions(cfg) for cfg in cells]
+    # simplified and cluster-tri share the triangular sets, cluster-gauss
+    # and neurofuzzy the gaussian ones: two inputs and an output each.
+    assert first[0] is first[1] and first[2] is first[3] and first[0] is not first[2]
+    assert len(built) == 6
+    inputs, output = first[0]
+    assert isinstance(inputs, tuple) and inputs[0] == inputs[1]
+    # A seed, alpha or resolution does not fix the partitions; a width
+    # factor and an output range do.
+    same = dataclasses.replace(cells[3], seed=9, alpha=0.5, resolution=7)
+    assert cli.build_partitions(same) is first[3]
+    assert cli.build_partitions(dataclasses.replace(cells[3], width_factor=0.3)) != first[3]
+    assert cli.build_partitions(dataclasses.replace(cells[3], out_hi=30.0)) != first[3]
+    assert len(built) == 12
+    # A model's two trainings and the pair share them.
+    clean, noisy, _ = cli.run_pair(cells[2], 0)
+    assert clean.input_partitions == noisy.input_partitions == list(first[2][0])
+    assert all(map(operator.is_, clean.input_partitions, noisy.input_partitions))
+    assert clean.output_partition is noisy.output_partition is first[2][1]
+    # A model over the cell limit raises on every call, never cached.
+    big = dataclasses.replace(cells[0], input_sets=4000)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            cli.build_partitions(big)
+    assert len(built) == 12
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from fuzzgrid import (
     write_diff_report,
 )
 
+from fuzzgrid import evaluation, inference
 from fuzzgrid.evaluation import MAX_RESOLUTION
 
 from oracles import center_average
@@ -153,6 +154,107 @@ def test_difference_rejects_mismatched_domains():
     b = FuzzyModel([px, py], pout, np.zeros((5, 5)))
     with pytest.raises(ValueError, match="input domains differ"):
         difference_surface(a, b)
+
+
+@pytest.mark.parametrize("other", ["shape", "output"])
+def test_mismatched_pair_fails_before_any_grid_is_summed(monkeypatch, other):
+    # At the resolution limit a summed grid takes seconds; the pair's
+    # shapes and output partitions are checked before any grid axis is built.
+    calls = []
+
+    def spy(real):
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_contract", "_window_sums"):
+        monkeypatch.setattr(inference, name, spy(getattr(inference, name)))
+    monkeypatch.setattr(FuzzyModel, "center_average", spy(FuzzyModel.center_average))
+    clean = linear_model()
+    if other == "shape":
+        noisy, message = linear_model(n=9), "shapes differ"
+    else:
+        noisy = FuzzyModel(
+            clean.input_partitions, Partition(2, 22, 5, TRIANGULAR), clean.conclusions
+        )
+        message = "output partitions differ"
+    evaluation._evaluation.cache_clear()
+    with pytest.raises(ValueError, match=message):
+        difference_surface(clean, noisy, MAX_RESOLUTION)
+    assert calls == []
+    assert evaluation._evaluation.cache_info().misses == 0
+    difference_surface(clean, clean, 3)  # the spies see a matched pair
+    assert calls == ["center_average", "_window_sums"] * 2
+
+
+def bits(a):
+    """int64 view: NaN payloads and the sign of zero count too."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def random_model(parts, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(p.n for p in parts)
+    conclusions = rng.uniform(2, 22, size=shape)
+    conclusions[rng.uniform(size=shape) < 0.3] = np.nan
+    return FuzzyModel(parts, Partition(2, 22, 13, TRIANGULAR), conclusions)
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 50, 100])
+@pytest.mark.parametrize(
+    "clean_sets, noisy_sets",
+    [
+        ((TRIANGULAR, 0.5), (TRIANGULAR, 0.5)),
+        ((GAUSSIAN, 0.5), (GAUSSIAN, 0.5)),
+        ((TRIANGULAR, 0.5), (GAUSSIAN, 0.3)),  # partitions of another kind
+        ((GAUSSIAN, 0.5), (GAUSSIAN, 0.2)),  # and of another width factor
+    ],
+)
+def test_cached_grid_is_bit_identical_to_outputs(resolution, clean_sets, noisy_sets):
+    clean = random_model([Partition(1, 11, 7, *clean_sets)] * 2, resolution)
+    noisy = random_model([Partition(1, 11, 7, *noisy_sets)] * 2, resolution + 1)
+    axes = grid_axes(clean, resolution)
+    for m in (clean, noisy):
+        assert np.array_equal(bits(evaluation._grid(m, resolution)), bits(m.outputs(axes)))
+        target = plane_truth(axes[0][:, None], axes[1][None, :])
+        errors = m.outputs(axes) - target
+        valid = errors[~np.isnan(errors)]
+        assert model_error(m, resolution) == {
+            "rmse": float(np.sqrt(np.mean(valid**2))),
+            "max_abs": float(np.max(np.abs(valid))),
+            "gap_fraction": float(1.0 - (~np.isnan(errors)).mean()),
+        }
+    report = difference_surface(clean, noisy, resolution)
+    assert np.array_equal(bits(report.diff_grid), bits(noisy.outputs(axes) - clean.outputs(axes)))
+    assert report.xs is axes[0] and report.ys is axes[1]
+
+
+def test_grid_cache_is_read_only_and_shared_by_value():
+    evaluation._evaluation.cache_clear()
+    a, b = Partition(1, 11, 9, TRIANGULAR), Partition(1, 11, 9, TRIANGULAR)
+    assert a is not b
+    first = evaluation._evaluation(a, 50)
+    assert evaluation._evaluation(b, 50) is first
+    assert evaluation._evaluation.cache_info().currsize == 1
+    axis, mat = first
+    assert axis.shape == (50,) and mat.shape == (50, 9)
+    for array in (axis, mat, *grid_axes(FuzzyModel([a, b], a, np.ones((9, 9))), 50)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    # another resolution, kind or width factor is another entry
+    assert evaluation._evaluation(a, 51) is not first
+    assert evaluation._evaluation(Partition(1, 11, 9, GAUSSIAN), 50) is not first
+    evaluation._evaluation(Partition(1, 11, 9, GAUSSIAN, 0.3), 50)
+    assert evaluation._evaluation.cache_info().currsize == 4
+    # linear_model's clean and noisy grids share its partitions' entry
+    evaluation._evaluation.cache_clear()
+    difference_surface(linear_model(), linear_model(), 20)
+    model_error(linear_model(), 20)
+    info = evaluation._evaluation.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_linear_conclusions_reproduce_the_plane():

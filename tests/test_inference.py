@@ -196,6 +196,60 @@ def test_rule_diff_refuses_output_partitions_of_other_range_or_count(lo, hi, n):
     assert rule_diff(a, c) == rule_diff(a, a)
 
 
+def test_rule_diff_classifies_each_model_on_its_own_output_sets():
+    # One ulp above the midpoint of two sets: the triangular degrees round
+    # to a tie, which the lower set wins, and the gaussian ones do not.
+    lo, hi, x = -83.5909987968756, 280.18263149562154, 98.29581634937298
+    tri, gauss = Partition(lo, hi, 2, TRIANGULAR), Partition(lo, hi, 2, GAUSSIAN)
+    assert (tri.best(x), gauss.best(x)) == (0, 1)
+    parts = [Partition(0, 10, 2, TRIANGULAR)] * 2
+    a = FuzzyModel(parts, tri, np.full((2, 2), x))
+    b = FuzzyModel(parts, gauss, np.full((2, 2), x))
+    assert rule_diff(a, b) == {"unchanged": 0, "changed": 4, "only_a": 0, "only_b": 0}
+    assert rule_diff(b, a) == rule_diff(a, b)
+    assert rule_diff(b, b)["unchanged"] == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    draw=st.data(),
+    shape=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+    n=st.integers(2, 15),
+    b_sets=st.sampled_from([(TRIANGULAR, 0.5), (GAUSSIAN, 0.5), (GAUSSIAN, 0.2)]),
+)
+def test_rule_diff_counts_match_a_per_cell_loop(draw, shape, n, b_sets):
+    # Conclusions at the output centers, exactly on the midpoints between
+    # two of them (where the sets tie), anywhere in range and beyond it;
+    # b's output sets may be of another kind or width.
+    pa = Partition(0, 20, n, TRIANGULAR)
+    pb = Partition(0, 20, n, *b_sets)
+    mids = (pa.centers[:-1] + pa.centers[1:]) / 2
+    value = st.one_of(
+        st.sampled_from(pa.centers.tolist()),
+        st.sampled_from(mids.tolist()),
+        st.floats(-5, 25),
+    )
+    inputs = [Partition(0, 10, k, TRIANGULAR) for k in shape]
+
+    def model(output):
+        conclusions = draw.draw(hnp.arrays(float, shape, elements=value))
+        conclusions[draw.draw(hnp.arrays(bool, shape))] = np.nan
+        return FuzzyModel(inputs, output, conclusions)
+
+    a, b = model(pa), model(pb)
+    want = {"unchanged": 0, "changed": 0, "only_a": 0, "only_b": 0}
+    for ca, cb in zip(a.conclusions.flat, b.conclusions.flat):
+        if np.isnan(ca) and np.isnan(cb):
+            continue
+        if np.isnan(cb):
+            want["only_a"] += 1
+        elif np.isnan(ca):
+            want["only_b"] += 1
+        else:
+            want["changed" if pa.best(ca) != pb.best(cb) else "unchanged"] += 1
+    assert rule_diff(a, b) == want
+
+
 def test_rule_diff_counts_skip_double_empty():
     px = Partition(0, 10, 3, TRIANGULAR)
     py = Partition(0, 10, 3, TRIANGULAR)

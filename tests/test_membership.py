@@ -42,6 +42,17 @@ def test_uniform_partition_centers_and_widths():
     assert out.centers[-1] == 22.0
 
 
+def test_partition_centers_are_read_only_and_zero_bounds_positive():
+    # Equal partitions are shared by value, so they must print alike: a
+    # bound of -0.0 is stored as 0.0.
+    p = Partition(-0.0, 10, 3, TRIANGULAR)
+    q = Partition(-10, -0.0, 3, GAUSSIAN)
+    assert math.copysign(1.0, p.lo) == 1.0 and math.copysign(1.0, q.hi) == 1.0
+    assert repr(p) == repr(Partition(0.0, 10, 3, TRIANGULAR))
+    with pytest.raises(ValueError, match="read-only"):
+        p.centers[0] = 1.0
+
+
 def test_gaussian_width_factor():
     p = Partition(0, 10, 3, GAUSSIAN, 0.5)
     assert p.width == 2.5
