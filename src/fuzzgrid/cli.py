@@ -17,7 +17,7 @@ import argparse
 import functools
 import statistics
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -93,10 +93,26 @@ GAP_CHAR = "?"
 # The heatmap's characters by bucket index; a gap is the index after the ramp.
 _HEAT_BYTES = np.frombuffer((HEAT_RAMP + GAP_CHAR).encode("ascii"), dtype=np.uint8)
 
+# Each sweep metric: its value for one trial, read from the pair's
+# DiffReport. A trial whose surface is all gap has no rmse or max_abs.
+TRIAL_METRICS = {
+    "rmse": lambda r: r.rmse,
+    "max_abs": lambda r: r.max_abs,
+    "rule_changes": lambda r: sum(r.rule_changes[k] for k in ("changed", "only_a", "only_b")),
+    "gap_fraction": lambda r: r.gap_fraction,
+}
+
+# Each summary column that shows a cell: the ExperimentConfig field it
+# shows. The neuro-fuzzy tuning fields stay blank on other algorithms' rows.
+CELL_COLUMNS = {
+    "algorithm": "algorithm", "input_sets": "input_sets", "output_sets": "output_sets",
+    "noise": "noise_level", "n": "n_examples", "alpha": "alpha", "epochs": "epochs",
+    "init": "init", "distribution": "distribution",
+}
+_TUNING_FIELDS = {field.name for field in fields(NeuroFuzzyConfig)}
+
 SUMMARY_COLUMNS = (
-    "preset", "algorithm", "input_sets", "output_sets", "noise", "n", "alpha", "epochs",
-    "init", "distribution", "trials", "median_rmse", "median_max_abs",
-    "median_rule_changes", "median_gap_fraction",
+    "preset", *CELL_COLUMNS, "trials", *(f"median_{name}" for name in TRIAL_METRICS),
 )
 
 
@@ -211,31 +227,29 @@ def run_cells(cells, trials: int) -> list:
 
     The loop is trial-major: trial t runs run_pair(cfg, cfg.seed XOR t)
     for every cell before trial t + 1 starts, so cells that share a seed
-    and data recipe reuse that seed's datasets (see run_pair). Only four
-    numbers per cell and trial are kept, never the models or reports.
-    Raises ValueError when trials is below 1.
+    and data recipe reuse that seed's datasets (see run_pair). Each cell
+    and trial keeps one record, its TRIAL_METRICS values, never the models
+    or reports. Each median_<name> skips the trials whose <name> is None,
+    and is None when every trial's is. Raises ValueError when trials is
+    below 1.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    metrics = [([], [], [], []) for _ in cells]
+    records = [[] for _ in cells]
     for t in range(trials):
-        for cfg, (rmses, max_abses, changes, gaps) in zip(cells, metrics):
+        for cfg, cell_records in zip(cells, records):
             _, _, report = run_pair(cfg, cfg.seed ^ t)
-            if report.rmse is not None:
-                rmses.append(report.rmse)
-                max_abses.append(report.max_abs)
-            rc = report.rule_changes
-            changes.append(rc["changed"] + rc["only_a"] + rc["only_b"])
-            gaps.append(report.gap_fraction)
+            cell_records.append({name: metric(report) for name, metric in TRIAL_METRICS.items()})
     return [
-        {
-            "median_rmse": statistics.median(rmses) if rmses else None,
-            "median_max_abs": statistics.median(max_abses) if max_abses else None,
-            "median_rule_changes": statistics.median(changes),
-            "median_gap_fraction": statistics.median(gaps),
-        }
-        for rmses, max_abses, changes, gaps in metrics
+        {f"median_{name}": _median([r[name] for r in cell_records]) for name in TRIAL_METRICS}
+        for cell_records in records
     ]
+
+
+def _median(values):
+    """The median of the values that are not None, or None if none is."""
+    values = [v for v in values if v is not None]
+    return statistics.median(values) if values else None
 
 
 def preset_cells(preset: str, base: ExperimentConfig, algo: str | None = None):
@@ -266,21 +280,11 @@ def summary_rows(preset: str, cells, trials: int) -> list:
     rows = [",".join(SUMMARY_COLUMNS)]
     for cfg, medians in zip(cells, run_cells(cells, trials)):
         tuned = cfg.algorithm == NEUROFUZZY
-        row = {
-            "preset": preset,
-            "algorithm": cfg.algorithm,
-            "input_sets": cfg.input_sets,
-            "output_sets": cfg.output_sets,
-            "noise": cfg.noise_level,
-            "n": cfg.n_examples,
-            "alpha": cfg.alpha if tuned else None,
-            "epochs": cfg.epochs if tuned else None,
-            "init": cfg.init if tuned else None,
-            "distribution": cfg.distribution,
-            "trials": trials,
-            **medians,
-        }
-        rows.append(",".join(_fmt(row[column]) for column in SUMMARY_COLUMNS))
+        shown = [
+            getattr(cfg, field) if tuned or field not in _TUNING_FIELDS else None
+            for field in CELL_COLUMNS.values()
+        ]
+        rows.append(",".join(map(_fmt, [preset, *shown, trials, *medians.values()])))
     return rows
 
 

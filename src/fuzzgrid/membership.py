@@ -43,7 +43,9 @@ class Partition:
     is not representable). Instances are immutable: nothing mutates them
     after construction, and centers is read-only. The partition and grid
     caches share equal partitions by value, so a bound of -0.0 is stored
-    as 0.0 and equal partitions print alike.
+    as 0.0. Equal partitions give equal degrees: == and hash leave out a
+    triangular partition's width factor, which changes none, though repr
+    and model files still show the one given.
     """
 
     def __init__(self, lo, hi, n, kind, width_factor=DEFAULT_WIDTH_FACTOR):
@@ -111,19 +113,19 @@ class Partition:
         """True when both partitions cover the same range."""
         return self.lo == other.lo and self.hi == other.hi
 
+    def _key(self):
+        # A triangular set's width is the spacing, so its width factor
+        # changes no degree and does not tell partitions apart.
+        width_factor = self.width_factor if self.kind == GAUSSIAN else None
+        return self.lo, self.hi, self.n, self.kind, width_factor
+
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.n == other.n
-            and self.kind == other.kind
-            and self.width_factor == other.width_factor
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.lo, self.hi, self.n, self.kind, self.width_factor))
+        return hash(self._key())
 
     def __repr__(self):
         return (

@@ -1,8 +1,8 @@
 """End-to-end acceptance checks for the noise-sensitivity benchmark.
 
 Every test prints one "acceptance NN name: PASS/FAIL" line so a verbose
-run reads as a checklist. Expensive experiment cells are cached and
-shared across criteria.
+run reads as a checklist. The sweep checks take their cells from the
+sweep presets, and each preset runs once, shared across criteria.
 
 One check is deliberately red: the algorithm-ladder ordering expects the
 gradient-tuned model to attenuate noise at least as well as the gaussian
@@ -13,6 +13,8 @@ clean/noisy difference grows monotonically with the epoch count and ends
 well above its initialization. The test asserts the stated ordering
 anyway; loosening it would hide exactly the regression it guards.
 """
+
+import functools
 
 import numpy as np
 
@@ -35,20 +37,21 @@ from fuzzgrid.cli import (
     SIMPLIFIED,
     ExperimentConfig,
     main,
-    run_cell,
+    preset_cells,
+    run_cells,
 )
 from fuzzgrid.learning import _tuning_weights
 
 from oracles import cluster_grid, wm_grid
 
-CELL_CACHE = {}
 
-
-def cell(cfg: ExperimentConfig, trials: int = 10) -> dict:
-    key = (cfg, trials)
-    if key not in CELL_CACHE:
-        CELL_CACHE[key] = run_cell(cfg, trials)
-    return CELL_CACHE[key]
+@functools.cache
+def medians_by(field: str, preset: str, algo: str | None = None) -> dict:
+    """The medians of the preset's cells (only algo's when given) at seed 0
+    over 10 trials, keyed by the ExperimentConfig field the cells vary.
+    Each preset is read by one field, so it runs once."""
+    cells = preset_cells(preset, ExperimentConfig(SIMPLIFIED), algo)
+    return {getattr(cfg, field): medians for cfg, medians in zip(cells, run_cells(cells, 10))}
 
 
 def check(num: int, name: str, ok: bool, detail: str = "", explain: str = ""):
@@ -135,13 +138,14 @@ def test_c03_gradient_matches_finite_differences():
     )
 
 
-def simplified_cell(sets: int, n: int = 100) -> dict:
-    cfg = ExperimentConfig(algorithm=SIMPLIFIED, input_sets=sets, n_examples=n)
-    return cell(cfg)
+def simplified_partitions() -> dict:
+    """partition-sweep's simplified rows, keyed by input sets."""
+    return medians_by("input_sets", "partition-sweep", SIMPLIFIED)
 
 
 def test_c04_complexity_increases_noise_sensitivity():
-    seq = [simplified_cell(s)["median_rmse"] for s in (3, 5, 7, 9)]
+    rows = simplified_partitions()
+    seq = [rows[s]["median_rmse"] for s in (3, 5, 7, 9)]
     ok = seq[0] < seq[-1]
     for a, b in zip(seq, seq[1:]):
         ok &= b >= 0.9 * a
@@ -153,15 +157,9 @@ def test_c04_complexity_increases_noise_sensitivity():
     )
 
 
-def ladder_medians() -> dict:
-    meds = {}
-    for algo in (SIMPLIFIED, CLUSTER_TRI, CLUSTER_GAUSS, NEUROFUZZY):
-        meds[algo] = cell(ExperimentConfig(algorithm=algo))["median_rmse"]
-    return meds
-
-
 def test_c05_algorithm_ladder_ordering():
-    meds = ladder_medians()
+    rows = medians_by("algorithm", "algorithm-ladder")
+    meds = {algo: m["median_rmse"] for algo, m in rows.items()}
     s, ct = meds[SIMPLIFIED], meds[CLUSTER_TRI]
     cg, nf = meds[CLUSTER_GAUSS], meds[NEUROFUZZY]
     legs = [nf <= 1.05 * cg, cg <= 1.05 * ct, ct <= 1.05 * s]
@@ -186,10 +184,8 @@ def test_c05_algorithm_ladder_ordering():
 
 
 def test_c06_learning_rate_effect():
-    meds = []
-    for alpha in (0.1, 0.8, 0.95):
-        cfg = ExperimentConfig(algorithm=NEUROFUZZY, alpha=alpha)
-        meds.append(cell(cfg)["median_rmse"])
+    rows = medians_by("alpha", "alpha-sweep")
+    meds = [rows[alpha]["median_rmse"] for alpha in (0.1, 0.8, 0.95)]
     ok = meds[0] < meds[1] < meds[2]
     check(
         6,
@@ -200,21 +196,21 @@ def test_c06_learning_rate_effect():
 
 
 def test_c07_more_data_attenuates_noise():
-    small = simplified_cell(9, n=100)["median_rmse"]
-    large = simplified_cell(9, n=400)["median_rmse"]
+    rows = medians_by("n_examples", "datasize")
+    small, large = rows[100]["median_rmse"], rows[400]["median_rmse"]
     check(7, "data-size-effect", large < small, f"n=400 {large:.6f} < n=100 {small:.6f}")
 
 
 def test_c08_noise_corrupts_rules():
-    big = simplified_cell(9)["median_rule_changes"]
-    small = simplified_cell(3)["median_rule_changes"]
+    rows = simplified_partitions()
+    big, small = rows[9]["median_rule_changes"], rows[3]["median_rule_changes"]
     ok = big > 0 and small <= big
     check(8, "rule-corruption", ok, f"median changes 9x9={big}, 3x3={small}")
 
 
 def test_c09_noise_level_monotonicity():
-    low = cell(ExperimentConfig(algorithm=CLUSTER_TRI, noise_level=0.10))
-    high = cell(ExperimentConfig(algorithm=CLUSTER_TRI, noise_level=0.30))
+    rows = medians_by("noise_level", "noise-levels")
+    low, high = rows[0.10], rows[0.30]
     ok = high["median_rmse"] > low["median_rmse"]
     check(
         9,

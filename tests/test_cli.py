@@ -4,6 +4,7 @@ import operator
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,6 +85,15 @@ def test_train_writes_loadable_model(capsys, tmp_path):
     assert model.shape == (5, 5)
     assert model.input_partitions[0].kind == "triangular"
     assert model.output_partition.n == 13
+
+
+def test_train_writes_the_width_factor_it_was_given(capsys, tmp_path):
+    # Triangular partitions at width factors 0.5 and 0.3 are equal, yet each
+    # model file records the width factor its own run was given.
+    data = gen(capsys, tmp_path, "d.csv", "--n", "100")
+    for wf in (0.5, 0.3, 0.5):
+        path = train(capsys, tmp_path, data, f"m{wf}.txt", "simplified", "--width-factor", str(wf))
+        assert [p.width_factor for p in load_model(path).input_partitions] == [wf, wf]
 
 
 def test_train_neurofuzzy_uses_gaussian(capsys, tmp_path):
@@ -390,6 +400,46 @@ def test_run_cells_rejects_trial_counts_below_one(monkeypatch, trials):
         cli.run_cell(ExperimentConfig(cli.SIMPLIFIED), trials)
     with pytest.raises(ValueError, match="^trials must be at least 1$"):
         cli.run_cells(ladder_cells(), trials)
+
+
+def test_run_cells_medians_skip_all_gap_trials_for_the_surface_metrics_only(monkeypatch):
+    def report(rmse, max_abs, changed, gap_fraction):
+        rule_changes = {"unchanged": 70, "changed": changed, "only_a": 1, "only_b": 2}
+        return SimpleNamespace(
+            rmse=rmse, max_abs=max_abs, gap_fraction=gap_fraction, rule_changes=rule_changes
+        )
+
+    # The second trial's surface is all gap: it has no rmse or max_abs.
+    reports = [report(1.0, 2.0, 3, 0.0), report(None, None, 9, 1.0), report(4.0, 8.0, 0, 0.25)]
+    seeds = []
+
+    def run_pair(cfg, seed):
+        seeds.append(seed)
+        return None, None, reports[len(seeds) - 1]
+
+    monkeypatch.setattr(cli, "run_pair", run_pair)
+    assert cli.run_cell(ExperimentConfig(cli.SIMPLIFIED, seed=4), 3) == {
+        "median_rmse": 2.5,  # of 1.0 and 4.0
+        "median_max_abs": 5.0,  # of 2.0 and 8.0
+        "median_rule_changes": 6,  # of 6, 12 and 3: changed + only_a + only_b
+        "median_gap_fraction": 0.25,  # of 0.0, 1.0 and 0.25
+    }
+    assert seeds == [4, 5, 6]
+    # With every trial all gap, the surface medians are None.
+    reports = [report(None, None, 0, 1.0)] * 2
+    seeds = []
+    assert cli.run_cell(ExperimentConfig(cli.SIMPLIFIED), 2) == {
+        "median_rmse": None, "median_max_abs": None,
+        "median_rule_changes": 3, "median_gap_fraction": 1.0,
+    }
+
+
+def test_summary_columns_are_pinned():
+    assert SUMMARY_COLUMNS == (
+        "preset", "algorithm", "input_sets", "output_sets", "noise", "n", "alpha", "epochs",
+        "init", "distribution", "trials", "median_rmse", "median_max_abs",
+        "median_rule_changes", "median_gap_fraction",
+    )
 
 
 def test_build_partitions_shares_one_structure_by_value(monkeypatch):

@@ -237,6 +237,9 @@ def test_grid_cache_is_read_only_and_shared_by_value():
     assert a is not b
     first = evaluation._evaluation(a, 50)
     assert evaluation._evaluation(b, 50) is first
+    # a triangular width factor changes no degree, so it shares the entry too
+    assert evaluation._evaluation(Partition(1, 11, 9, TRIANGULAR, 0.3), 50) is first
+    assert evaluation._evaluation.cache_info().misses == 1
     assert evaluation._evaluation.cache_info().currsize == 1
     axis, mat = first
     assert axis.shape == (50,) and mat.shape == (50, 9)
@@ -244,7 +247,7 @@ def test_grid_cache_is_read_only_and_shared_by_value():
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
-    # another resolution, kind or width factor is another entry
+    # another resolution, kind or gaussian width factor is another entry
     assert evaluation._evaluation(a, 51) is not first
     assert evaluation._evaluation(Partition(1, 11, 9, GAUSSIAN), 50) is not first
     evaluation._evaluation(Partition(1, 11, 9, GAUSSIAN, 0.3), 50)

@@ -43,14 +43,29 @@ def test_uniform_partition_centers_and_widths():
 
 
 def test_partition_centers_are_read_only_and_zero_bounds_positive():
-    # Equal partitions are shared by value, so they must print alike: a
-    # bound of -0.0 is stored as 0.0.
+    # Equal partitions are shared by value, so equal bounds must print
+    # alike: a bound of -0.0 is stored as 0.0.
     p = Partition(-0.0, 10, 3, TRIANGULAR)
     q = Partition(-10, -0.0, 3, GAUSSIAN)
     assert math.copysign(1.0, p.lo) == 1.0 and math.copysign(1.0, q.hi) == 1.0
     assert repr(p) == repr(Partition(0.0, 10, 3, TRIANGULAR))
     with pytest.raises(ValueError, match="read-only"):
         p.centers[0] = 1.0
+
+
+def test_only_a_gaussian_width_factor_tells_partitions_apart():
+    # A triangular set's half-base is the spacing whatever the width factor,
+    # so both partitions give the same degrees and compare and hash alike.
+    p, q = Partition(1, 11, 9, TRIANGULAR), Partition(1, 11, 9, TRIANGULAR, 0.3)
+    xs = np.linspace(0, 12, 101)
+    assert np.array_equal(p.degrees(xs), q.degrees(xs))
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    # repr still shows the width factor each was given
+    assert repr(q) == "Partition(1.0, 11.0, 9, 'triangular', width_factor=0.3)"
+    assert repr(p) != repr(q)
+    g = Partition(1, 11, 9, GAUSSIAN)
+    assert g != Partition(1, 11, 9, GAUSSIAN, 0.3)
+    assert g == Partition(1, 11, 9, GAUSSIAN, 0.5) and g != p
 
 
 def test_gaussian_width_factor():
