@@ -31,6 +31,7 @@ from .datagen import (
     write_dataset,
 )
 from .evaluation import (
+    MAX_RESOLUTION,
     DiffReport,
     difference_surface,
     model_error,
@@ -45,7 +46,7 @@ from .learning import (
     neurofuzzy_learn,
     wm_learn,
 )
-from .membership import DEFAULT_WIDTH_FACTOR, GAUSSIAN, TRIANGULAR, Partition
+from .membership import DEFAULT_WIDTH_FACTOR, GAUSSIAN, TRIANGULAR, Partition, _check_count
 
 SIMPLIFIED = "simplified"
 CLUSTER_TRI = "cluster-tri"
@@ -233,8 +234,7 @@ def run_cells(cells, trials: int) -> list:
     and is None when every trial's is. Raises ValueError when trials is
     below 1.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _check_count("trials", trials, 1)
     records = [[] for _ in cells]
     for t in range(trials):
         for cfg, cell_records in zip(cells, records):
@@ -478,9 +478,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     values = _resolve(args)
-    trials = values["trials"]
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _check_count("trials", values["trials"], 1)
     # A config file's n stays ignored here, so one file can serve gen and
     # every preset; an explicit flag that would be ignored is an error.
     if args.preset == "datasize" and args.n is not None:
@@ -489,7 +487,9 @@ def cmd_sweep(args) -> int:
     if args.algo is not None and args.preset != "partition-sweep":
         raise ValueError(f"--algo applies to the partition-sweep preset only, not {args.preset}")
     cells = preset_cells(args.preset, _experiment(SIMPLIFIED, values), args.algo)
-    for cfg in cells:  # a cell that cannot be built fails before any trial runs
+    # a cell that cannot be built or evaluated fails before any trial runs
+    _check_count("resolution", values["resolution"], 2, MAX_RESOLUTION)
+    for cfg in cells:
         build_partitions(cfg)
     _note(f"running {args.preset}: {len(cells)} cells x {trials} trials")
     rows = summary_rows(args.preset, cells, trials)

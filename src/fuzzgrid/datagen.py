@@ -11,11 +11,12 @@ each stored coordinate perturbed independently to v * (1 + u) with u in
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+
+from .membership import _check_count, _check_range
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -90,9 +91,10 @@ class Dataset:
     """Examples as columns: inputs X of shape (N, d) and outputs z of shape (N,).
 
     X is a C-contiguous float64 array, z a float64 array. The constructor
-    is the one place a dataset is validated: shapes, and finiteness of
-    every value. Iteration yields one Example(x, z) record per row, x a
-    tuple of floats; there is no indexing. == compares the arrays.
+    is the one place a dataset is validated: at least one example, shapes,
+    and finiteness of every value. Iteration yields one Example(x, z)
+    record per row, x a tuple of floats; there is no indexing. == compares
+    the arrays.
     Instances are immutable by convention; nothing mutates them after
     construction.
     """
@@ -102,6 +104,8 @@ class Dataset:
     def __init__(self, X, z):
         X = np.ascontiguousarray(X, dtype=float)
         z = np.ascontiguousarray(z, dtype=float)
+        if not (X.size or z.size):
+            raise ValueError("empty dataset: there are no examples")
         if X.ndim != 2 or z.ndim != 1 or len(X) != len(z):
             raise ValueError(
                 f"need inputs of shape (N, d) and outputs of shape (N,), "
@@ -147,17 +151,13 @@ class DataSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"example count must be an integer, got n={self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"need at least one example, got n={self.n}")
+        object.__setattr__(self, "n", _check_count("example count", self.n, 1))
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if not 0 <= self.noise_level < math.inf:
             raise ValueError(f"noise level must be non-negative and finite, got {self.noise_level}")
         for lo, hi in self.domain:
-            if not (lo < hi and math.isfinite(hi - lo)):
-                raise ValueError(f"invalid domain range ({lo}, {hi})")
+            _check_range(lo, hi, "domain range")
 
 
 def _draw_inputs(spec: DataSpec, rng: Rng) -> np.ndarray:
@@ -242,7 +242,7 @@ def read_dataset(path) -> Dataset:
 
     A bad header, a row without three fields, a field that does not parse
     and a value that is not finite raise ValueError; a row's error names
-    its file line.
+    its file line. A file without rows raises Dataset's ValueError.
     """
     inputs, outputs = [], []
     with open(path, encoding="utf-8") as fh:
@@ -264,6 +264,4 @@ def read_dataset(path) -> Dataset:
                 raise ValueError(f"line {line_no}: values must be finite, got {line!r}")
             inputs.append((x, y))
             outputs.append(z)
-    if not outputs:
-        raise ValueError("dataset file contains no examples")
     return Dataset(inputs, outputs)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import FuzzyModel, rule_diff
-from .membership import Partition
+from .membership import Partition, _check_count
 
 
 def plane_truth(x, y):
@@ -65,10 +65,7 @@ def grid_axes(model: FuzzyModel, resolution: int):
     """
     if model.dim != 2:
         raise ValueError("grid evaluation supports 2-input models only")
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
-    if resolution > MAX_RESOLUTION:
-        raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
+    resolution = _check_count("resolution", resolution, 2, MAX_RESOLUTION)
     return tuple(_evaluation(p, resolution)[0] for p in model.input_partitions)
 
 
@@ -104,14 +101,9 @@ def _aggregate(grid: np.ndarray):
 def difference_surface(clean: FuzzyModel, noisy: FuzzyModel, resolution: int = 50) -> DiffReport:
     """noisy minus clean on a shared grid, plus rule-base corruption.
 
-    A pair that rule_diff refuses (other grid shapes or output partitions)
-    raises before any grid axis is built or evaluated.
+    A pair that rule_diff refuses (other grid shapes, input domains or
+    output partitions) raises before any grid axis is built or evaluated.
     """
-    for pa, pb in zip(clean.input_partitions, noisy.input_partitions):
-        if not pa.same_axis(pb):
-            raise ValueError(
-                f"input domains differ: [{pa.lo}, {pa.hi}] vs [{pb.lo}, {pb.hi}]"
-            )
     rule_changes = rule_diff(clean, noisy)
     xs, ys = grid_axes(clean, resolution)
     # noisy's axes are clean's: the same ranges at the same resolution

@@ -123,8 +123,7 @@ def _support_windows(mats):
 
     A matrix's width is the widest span from a row's first to its last
     nonzero column. Rounded centers can give a third nonzero triangular
-    degree, so it is measured, not assumed. A row with no nonzero degree
-    (a point between two narrow gaussians) does not count toward it.
+    degree, so it is measured, not assumed.
     """
     firsts, widths = [], []
     for m in mats:
@@ -186,12 +185,16 @@ def rule_diff(a: FuzzyModel, b: FuzzyModel) -> dict:
 
     A cell counts as changed when both models fill it but the conclusions
     fall into different output sets (argmax membership on the output
-    partition). Cells empty in both models are not counted at all. Output
-    partitions of different ranges or set counts raise ValueError: their
-    set indices do not compare.
+    partition). Cells empty in both models are not counted at all. This
+    is where a pair is found comparable: grid shapes, input ranges, or
+    output partitions of different ranges or set counts raise ValueError,
+    since their cells or set indices do not compare.
     """
     if a.shape != b.shape:
         raise ValueError(f"rule grid shapes differ: {a.shape} vs {b.shape}")
+    for pa, pb in zip(a.input_partitions, b.input_partitions):
+        if not pa.same_axis(pb):
+            raise ValueError(f"input domains differ: [{pa.lo}, {pa.hi}] vs [{pb.lo}, {pb.hi}]")
     pa, pb = a.output_partition, b.output_partition
     if not (pa.same_axis(pb) and pa.n == pb.n):
         raise ValueError(f"output partitions differ: {pa!r} vs {pb!r}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .inference import FuzzyModel
-from .membership import GAUSSIAN, TRIANGULAR, Partition, activations
+from .membership import GAUSSIAN, TRIANGULAR, Partition, _check_count, activations
 
 EMPTY_WEIGHT_THRESHOLD = 1e-12
 
@@ -38,16 +38,13 @@ class NeuroFuzzyConfig:
         # non-expansive; larger rates can diverge to inf and NaN.
         if not 0 <= self.alpha <= 2:
             raise ValueError(f"alpha must be in [0, 2], got {self.alpha}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        object.__setattr__(self, "epochs", _check_count("epochs", self.epochs, 0))
         if self.init not in INITS:
             raise ValueError(f"unknown init mode {self.init!r}")
 
 
 def _check_data(data: Dataset, inputs) -> None:
-    """Check that data is non-empty and has one input per partition."""
-    if not len(data):
-        raise ValueError("cannot learn from an empty dataset")
+    """Check that data has one input per partition (Dataset refuses no examples)."""
     if data.dim != len(inputs):
         raise ValueError(
             f"examples have {data.dim} inputs but there are {len(inputs)} input partitions"

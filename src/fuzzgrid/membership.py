@@ -26,6 +26,8 @@ Where inputs outside [lo, hi] are clamped into range, and where not:
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 TRIANGULAR = "triangular"
@@ -33,6 +35,25 @@ GAUSSIAN = "gaussian"
 KINDS = (TRIANGULAR, GAUSSIAN)
 
 DEFAULT_WIDTH_FACTOR = 0.5
+
+
+def _check_count(what, value, least, most=None) -> int:
+    """value as an int, or ValueError unless it is an integer (numpy's
+    too, never a bool) from least to most."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}")
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be at most {most}, got {value}")
+    return int(value)
+
+
+def _check_range(lo, hi, what) -> None:
+    """ValueError unless lo < hi and lo, hi and hi - lo are finite."""
+    # hi - lo is inf or NaN when a bound is not finite or the span overflows
+    if not (lo < hi and np.isfinite(hi - lo)):
+        raise ValueError(f"invalid {what} ({lo}, {hi}): need lo < hi, and lo, hi, hi - lo finite")
 
 
 class Partition:
@@ -49,18 +70,14 @@ class Partition:
     """
 
     def __init__(self, lo, hi, n, kind, width_factor=DEFAULT_WIDTH_FACTOR):
-        # hi - lo is inf or NaN when a bound is not finite or the span overflows
-        if not (lo < hi and np.isfinite(hi - lo)):
-            raise ValueError(f"invalid range ({lo}, {hi}): need lo < hi, and lo, hi, hi - lo finite")
-        if n < 2:
-            raise ValueError(f"invalid count: need at least 2 sets, got {n}")
+        _check_range(lo, hi, "range")
+        self.n = _check_count("set count", n, 2)
         if kind not in KINDS:
             raise ValueError(f"unknown membership kind {kind!r}")
         if not 0 < width_factor < np.inf:
             raise ValueError(f"invalid width factor: {width_factor} (must be finite and > 0)")
         self.lo = float(lo) + 0.0
         self.hi = float(hi) + 0.0
-        self.n = int(n)
         self.kind = kind
         self.width_factor = float(width_factor)
         self.spacing = (self.hi - self.lo) / (self.n - 1)

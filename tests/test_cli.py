@@ -594,6 +594,18 @@ def test_sweep_rejects_trial_counts_below_one(capsys, tmp_path, source):
     assert err == "error: trials must be at least 1\n"
 
 
+def test_sweep_refuses_a_resolution_before_any_trial(capsys, tmp_path, monkeypatch):
+    calls = []
+    run_pair = cli.run_pair
+    monkeypatch.setattr(cli, "run_pair", lambda *args: calls.append(args) or run_pair(*args))
+    out_path = tmp_path / "bad.csv"
+    argv = ("sweep", "algorithm-ladder", "--resolution", "1", "--trials", "1")
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out, err) == (1, "", "error: resolution must be at least 2\n")
+    assert calls == []
+    assert not out_path.exists()
+
+
 def test_sweep_datasize_rejects_n_flag_and_ignores_config_n(capsys, tmp_path):
     code, out, err = run(capsys, "sweep", "datasize", "--trials", "1", "--n", "0")
     assert code == 1

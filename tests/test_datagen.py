@@ -220,7 +220,7 @@ def test_dataset_validates_once_at_construction(tmp_path):
 # spec validation
 
 def test_dataspec_validation():
-    with pytest.raises(ValueError, match="at least one example"):
+    with pytest.raises(ValueError, match="example count must be at least 1"):
         DataSpec(n=0)
     for n in (2.5, True, "10"):
         with pytest.raises(ValueError, match="must be an integer"):
@@ -250,6 +250,13 @@ def test_dataspec_rejects_non_finite_domain(axis):
 
 # ---------------------------------------------------------------------------
 # file round trips
+
+@pytest.mark.parametrize("X, z", [(np.empty((0, 2)), np.empty(0)), ([], [])])
+def test_dataset_refuses_no_examples(X, z):
+    # The one emptiness check: the learners and read_dataset rely on it.
+    with pytest.raises(ValueError, match="^empty dataset: there are no examples$"):
+        Dataset(X, z)
+
 
 def test_dataset_roundtrip_is_exact(tmp_path):
     data = make_plane_dataset(DataSpec(n=80, noise_level=0.15, seed=13))

@@ -184,6 +184,18 @@ def test_rule_diff_shape_mismatch():
         rule_diff(a, b)
 
 
+def test_rule_diff_refuses_models_of_other_input_domains():
+    a = linear_model()
+    px, py = a.input_partitions
+    b = FuzzyModel([px, Partition(1, 11, 3, TRIANGULAR)], a.output_partition, a.conclusions)
+    message = "input domains differ: [0.0, 10.0] vs [1.0, 11.0]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rule_diff(a, b)
+    # set counts and kinds are the grid shape's and the cells' business
+    c = FuzzyModel([px, Partition(0, 10, 3, GAUSSIAN)], a.output_partition, a.conclusions)
+    assert rule_diff(a, c) == rule_diff(a, a)
+
+
 @pytest.mark.parametrize("lo, hi, n", [(0, 20, 5), (0, 100, 13)])
 def test_rule_diff_refuses_output_partitions_of_other_range_or_count(lo, hi, n):
     a = linear_model()

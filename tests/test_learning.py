@@ -81,15 +81,30 @@ def test_neurofuzzy_config_validation():
 
 
 def test_learners_reject_empty_data():
+    # Dataset refuses no examples, so every learner gets at least one.
+    with pytest.raises(ValueError, match="empty dataset"):
+        Dataset(np.empty((0, 2)), np.empty(0))
+    single = one((5.0, 5.0), 10.0)
     inputs, out = tri_parts()
-    empty = Dataset(np.empty((0, 2)), np.empty(0))
-    with pytest.raises(ValueError, match="empty dataset"):
-        wm_learn(empty, inputs, out)
-    with pytest.raises(ValueError, match="empty dataset"):
-        cluster_learn(empty, inputs, out)
+    assert wm_learn(single, inputs, out).rule_count() == 1
+    assert cluster_learn(single, inputs, out).rule_count() == 1
     ginputs, gout = gauss_parts()
-    with pytest.raises(ValueError, match="empty dataset"):
-        neurofuzzy_learn(empty, ginputs, gout, NeuroFuzzyConfig())
+    assert neurofuzzy_learn(single, ginputs, gout, NeuroFuzzyConfig()).rule_count() == 9
+
+
+@pytest.mark.parametrize("epochs", [1, 50])
+def test_numpy_integer_epochs_train_bit_identically(epochs):
+    # At 81 cells and 100 rows, 1 epoch runs the passes and 50 powers the epoch map.
+    assert _powering_pays(100, 81, epochs) == (epochs > 1)
+    cfg = NeuroFuzzyConfig(epochs=np.int64(epochs))
+    assert type(cfg.epochs) is int and cfg == NeuroFuzzyConfig(epochs=epochs)
+    data = make_plane_dataset(DataSpec(n=100, noise_level=0.1, seed=0))
+    inputs, out = gauss_parts(n=9, lo=1.0, hi=11.0)
+    a, b = (
+        neurofuzzy_learn(data, inputs, out, c).conclusions
+        for c in (cfg, NeuroFuzzyConfig(epochs=epochs))
+    )
+    assert a.size == 81 and a.tobytes() == b.tobytes()
 
 
 def test_wm_requires_triangular():

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fuzzgrid import GAUSSIAN, TRIANGULAR, Partition, activations
+from fuzzgrid import (
+    GAUSSIAN,
+    TRIANGULAR,
+    DataSpec,
+    FuzzyModel,
+    NeuroFuzzyConfig,
+    Partition,
+    activations,
+    difference_surface,
+    grid_axes,
+)
+from fuzzgrid.cli import SIMPLIFIED, ExperimentConfig, run_cells
 from fuzzgrid.membership import KINDS
 
 from oracles import argmax_set, degree
@@ -77,12 +88,47 @@ def test_gaussian_width_factor():
 def test_partition_validation():
     with pytest.raises(ValueError, match="invalid range"):
         Partition(5, 5, 3, TRIANGULAR)
-    with pytest.raises(ValueError, match="invalid count"):
+    with pytest.raises(ValueError, match="set count must be at least 2"):
         Partition(0, 10, 1, TRIANGULAR)
     with pytest.raises(ValueError, match="invalid width factor"):
         Partition(0, 10, 3, GAUSSIAN, 0.0)
     with pytest.raises(ValueError, match="unknown membership kind"):
         Partition(0, 10, 3, "trapezoid")
+
+
+def square_model():
+    p = Partition(0, 10, 3, TRIANGULAR)
+    return FuzzyModel([p, p], Partition(0, 20, 13, TRIANGULAR), np.add.outer(p.centers, p.centers))
+
+
+# The count arguments of the value types and of the grid and sweep entry
+# points, each with what it gives back for a valid count.
+COUNT_ENTRY_POINTS = {
+    "DataSpec n": lambda n: DataSpec(n=n).n,
+    "Partition n": lambda n: Partition(0, 10, n, TRIANGULAR).n,
+    "NeuroFuzzyConfig epochs": lambda n: NeuroFuzzyConfig(epochs=n).epochs,
+    "grid_axes resolution": lambda n: grid_axes(square_model(), n)[0].tolist(),
+    "difference_surface resolution": (
+        lambda n: difference_surface(square_model(), square_model(), n).diff_grid.tolist()
+    ),
+    "run_cells trials": lambda n: run_cells([ExperimentConfig(SIMPLIFIED, n_examples=20)], n),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, True, "3"])
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_count_entry_points_refuse_non_integers(entry, count):
+    # 2.5 used to build 2 sets or raise TypeError, and True to run one trial.
+    with pytest.raises(ValueError, match=f"must be an integer, got {count!r}$"):
+        COUNT_ENTRY_POINTS[entry](count)
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_count_entry_points_take_numpy_integers(entry):
+    value = COUNT_ENTRY_POINTS[entry](np.int64(3))
+    assert value == COUNT_ENTRY_POINTS[entry](3)
+    # a count that is kept is kept as a Python int
+    assert not isinstance(value, np.integer)
 
 
 @pytest.mark.parametrize(
