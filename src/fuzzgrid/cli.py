@@ -46,7 +46,8 @@ from .learning import (
     neurofuzzy_learn,
     wm_learn,
 )
-from .membership import DEFAULT_WIDTH_FACTOR, GAUSSIAN, TRIANGULAR, Partition, _check_count
+from .membership import DEFAULT_WIDTH_FACTOR, GAUSSIAN, TRIANGULAR, Partition
+from .membership import _check_choice, _check_count
 
 SIMPLIFIED = "simplified"
 CLUSTER_TRI = "cluster-tri"
@@ -119,7 +120,12 @@ SUMMARY_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One benchmark cell: algorithm, structure, data recipe, tuning."""
+    """One benchmark cell: algorithm, structure, data recipe, tuning.
+
+    Making one, by the constructor or by dataclasses.replace, raises
+    ValueError unless the cell can run. The tuning fields are checked for
+    every algorithm, though only neurofuzzy reads them.
+    """
 
     algorithm: str
     input_sets: int = 9
@@ -138,10 +144,23 @@ class ExperimentConfig:
     out_lo: float = 2.0
     out_hi: float = 22.0
 
+    def __post_init__(self):
+        # The partitions go first, so a bad structure is reported before a
+        # bad tuning field, as train reported it when only it checked them.
+        _check_choice("algorithm", self.algorithm, ALGORITHMS)
+        build_partitions(self)
+        _check_count("resolution", self.resolution, 2, MAX_RESOLUTION)
+        self.tuning()
+        _data_spec(self, self.seed, self.noise_level)
+
     @property
     def domain(self) -> tuple:
         """The square input domain: (lo, hi) on both axes."""
         return ((self.lo, self.hi),) * 2
+
+    def tuning(self) -> NeuroFuzzyConfig:
+        """The neuro-fuzzy learner's settings; checked for every algorithm."""
+        return NeuroFuzzyConfig(**{field: getattr(self, field) for field in _TUNING_FIELDS})
 
 
 def build_partitions(cfg: ExperimentConfig):
@@ -168,13 +187,13 @@ def _partitions(kind, input_sets, width_factor, domain, output_sets, out_lo, out
 
 
 def train_model(cfg: ExperimentConfig, data) -> FuzzyModel:
-    inputs, output = build_partitions(cfg)  # KeyError for an unknown algorithm
-    if cfg.algorithm == SIMPLIFIED:
-        return wm_learn(data, inputs, output)
-    if cfg.algorithm in (CLUSTER_TRI, CLUSTER_GAUSS):
-        return cluster_learn(data, inputs, output)
-    nf = NeuroFuzzyConfig(alpha=cfg.alpha, epochs=cfg.epochs, init=cfg.init)
-    return neurofuzzy_learn(data, inputs, output, nf)
+    inputs, output = build_partitions(cfg)
+    if cfg.algorithm == NEUROFUZZY:
+        return neurofuzzy_learn(data, inputs, output, cfg.tuning())
+    # cfg checked its algorithm when it was made: here it is simplified,
+    # cluster-tri or cluster-gauss
+    learn = wm_learn if cfg.algorithm == SIMPLIFIED else cluster_learn
+    return learn(data, inputs, output)
 
 
 def run_pair(cfg: ExperimentConfig, seed: int):
@@ -255,8 +274,7 @@ def _median(values):
 def preset_cells(preset: str, base: ExperimentConfig, algo: str | None = None):
     """The experiment matrix for a preset, in fixed row order, keeping
     only algo's cells when algo is given."""
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r} (valid: {', '.join(PRESETS)})")
+    _check_choice("preset", preset, PRESETS)
     return [
         replace(base, **cell)
         for cell in PRESETS[preset]
@@ -423,17 +441,16 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    values = _resolve(args)
-    algo = args.algo
+    # the cell is checked before the dataset is read
+    cfg = _experiment(args.algo, _resolve(args))
     try:
         data = read_dataset(args.dataset)
     except (OSError, ValueError) as e:
         return _die(f"cannot read dataset {args.dataset}: {e}")
-    cfg = _experiment(algo, values)
     model = train_model(cfg, data)
     save_model(model, args.model)
     _note(
-        f"trained {algo} {cfg.input_sets}x{cfg.input_sets} model: "
+        f"trained {cfg.algorithm} {cfg.input_sets}x{cfg.input_sets} model: "
         f"{model.rule_count()} rules, {model.empty_count()} empty cells -> {args.model}"
     )
     return 0
@@ -479,18 +496,21 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     values = _resolve(args)
     trials = _check_count("trials", values["trials"], 1)
-    # A config file's n stays ignored here, so one file can serve gen and
-    # every preset; an explicit flag that would be ignored is an error.
-    if args.preset == "datasize" and args.n is not None:
-        sizes = " and ".join(str(cell["n_examples"]) for cell in PRESETS["datasize"])
-        raise ValueError(f"--n does not apply to the datasize preset, which runs n = {sizes}")
+    # A parameter whose field any of the preset's cells sets belongs to the
+    # preset. Its flag, which the cells would ignore, is an error. Its
+    # config-file value is ignored, so one file can serve gen and every
+    # preset, and the base cell, which is checked too, takes the default.
+    # A flag the subcommand lacks reads as None.
+    for name, field in _FIELDS.items():
+        runs = dict.fromkeys(str(cell[field]) for cell in PRESETS[args.preset] if field in cell)
+        if runs and getattr(args, name, None) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to the {args.preset} "
+                             f"preset, which runs {name} = {' and '.join(runs)}")
+        if runs:
+            values[name] = args.defaults[name]
     if args.algo is not None and args.preset != "partition-sweep":
         raise ValueError(f"--algo applies to the partition-sweep preset only, not {args.preset}")
     cells = preset_cells(args.preset, _experiment(SIMPLIFIED, values), args.algo)
-    # a cell that cannot be built or evaluated fails before any trial runs
-    _check_count("resolution", values["resolution"], 2, MAX_RESOLUTION)
-    for cfg in cells:
-        build_partitions(cfg)
     _note(f"running {args.preset}: {len(cells)} cells x {trials} trials")
     rows = summary_rows(args.preset, cells, trials)
     text = "\n".join(rows) + "\n"

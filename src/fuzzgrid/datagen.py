@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .membership import _check_count, _check_range
+from .membership import _check_choice, _check_count, _check_range
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -152,8 +152,7 @@ class DataSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_count("example count", self.n, 1))
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
+        _check_choice("distribution", self.distribution, DISTRIBUTIONS)
         if not 0 <= self.noise_level < math.inf:
             raise ValueError(f"noise level must be non-negative and finite, got {self.noise_level}")
         for lo, hi in self.domain:

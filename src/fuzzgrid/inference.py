@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .membership import TRIANGULAR, Partition
+from .membership import TRIANGULAR, Partition, _check_count
 
 
 class FuzzyModel:
@@ -224,9 +224,10 @@ def check_model_size(sizes, output_sets) -> None:
     """Raise ValueError when a grid of sizes[i] sets on input i, or
     output_sets output sets, is larger than MAX_MODEL_CELLS.
 
-    Counts below 1 count as 1: a count below 2, which Partition rejects,
-    must not hide a huge one.
+    A count that is not an integer raises ValueError. Counts below 1 count
+    as 1: a count below 2, which Partition rejects, must not hide a huge one.
     """
+    *sizes, output_sets = [_check_count("set count", n) for n in (*sizes, output_sets)]
     if max(math.prod(max(n, 1) for n in sizes), output_sets) > MAX_MODEL_CELLS:
         raise ValueError(
             f"a model of {' x '.join(map(str, sizes))} input sets and {output_sets} "

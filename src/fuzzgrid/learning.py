@@ -16,7 +16,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .inference import FuzzyModel
-from .membership import GAUSSIAN, TRIANGULAR, Partition, _check_count, activations
+from .membership import GAUSSIAN, TRIANGULAR, Partition, _check_choice, _check_count, activations
 
 EMPTY_WEIGHT_THRESHOLD = 1e-12
 
@@ -39,8 +39,7 @@ class NeuroFuzzyConfig:
         if not 0 <= self.alpha <= 2:
             raise ValueError(f"alpha must be in [0, 2], got {self.alpha}")
         object.__setattr__(self, "epochs", _check_count("epochs", self.epochs, 0))
-        if self.init not in INITS:
-            raise ValueError(f"unknown init mode {self.init!r}")
+        _check_choice("init mode", self.init, INITS)
 
 
 def _check_data(data: Dataset, inputs) -> None:

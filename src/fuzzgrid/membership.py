@@ -37,16 +37,22 @@ KINDS = (TRIANGULAR, GAUSSIAN)
 DEFAULT_WIDTH_FACTOR = 0.5
 
 
-def _check_count(what, value, least, most=None) -> int:
+def _check_count(what, value, least=None, most=None) -> int:
     """value as an int, or ValueError unless it is an integer (numpy's
-    too, never a bool) from least to most."""
+    too, never a bool) from least to most; a bound of None is not checked."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{what} must be at least {least}")
     if most is not None and value > most:
         raise ValueError(f"{what} must be at most {most}, got {value}")
     return int(value)
+
+
+def _check_choice(what, value, choices) -> None:
+    """ValueError naming the choices unless value is one of them."""
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r} (valid: {', '.join(choices)})")
 
 
 def _check_range(lo, hi, what) -> None:
@@ -72,8 +78,7 @@ class Partition:
     def __init__(self, lo, hi, n, kind, width_factor=DEFAULT_WIDTH_FACTOR):
         _check_range(lo, hi, "range")
         self.n = _check_count("set count", n, 2)
-        if kind not in KINDS:
-            raise ValueError(f"unknown membership kind {kind!r}")
+        _check_choice("membership kind", kind, KINDS)
         if not 0 < width_factor < np.inf:
             raise ValueError(f"invalid width factor: {width_factor} (must be finite and > 0)")
         self.lo = float(lo) + 0.0

@@ -129,6 +129,18 @@ def test_train_rejects_non_finite_partitions(capsys, tmp_path, flags, message):
     assert not out_path.exists()
 
 
+def test_train_checks_tuning_fields_for_every_learner(capsys, tmp_path):
+    # The learner ignores them, but a cell with a bad one is not a cell:
+    # --algo simplified --epochs -1 used to exit 0.
+    data = gen(capsys, tmp_path, "d.csv", "--n", "20")
+    out_path = tmp_path / "bad.model"
+    code, _, err = run(
+        capsys, "train", str(data), str(out_path), "--algo", "simplified", "--epochs", "-1"
+    )
+    assert (code, err) == (1, "error: epochs must be at least 0\n")
+    assert not out_path.exists()
+
+
 def test_train_rejects_alpha_above_two(capsys, tmp_path):
     # At this rate and width the sweep used to overflow: the model came
     # out with 0 rules and 81 empty cells, and train exited 0.
@@ -467,12 +479,44 @@ def test_build_partitions_shares_one_structure_by_value(monkeypatch):
     assert clean.input_partitions == noisy.input_partitions == list(first[2][0])
     assert all(map(operator.is_, clean.input_partitions, noisy.input_partitions))
     assert clean.output_partition is noisy.output_partition is first[2][1]
-    # A model over the cell limit raises on every call, never cached.
-    big = dataclasses.replace(cells[0], input_sets=4000)
+    # A cell over the cell limit raises whenever it is made, never cached.
     for _ in range(2):
         with pytest.raises(ValueError, match="exceeds the limit"):
-            cli.build_partitions(big)
+            dataclasses.replace(cells[0], input_sets=4000)
     assert len(built) == 12
+
+
+# Each field value that makes a cell unable to run, with what it raises.
+BAD_CELLS = [
+    ({"algorithm": "bogus"}, "unknown algorithm 'bogus' (valid: simplified, cluster-tri, "),
+    ({"resolution": 1}, "resolution must be at least 2"),
+    ({"resolution": 4097}, "resolution must be at most 4096, got 4097"),
+    ({"resolution": 2.5}, "resolution must be an integer, got 2.5"),
+    ({"alpha": 3}, "alpha must be in [0, 2], got 3"),
+    ({"epochs": -1}, "epochs must be at least 0"),
+    ({"init": "random"}, "unknown init mode 'random'"),
+    ({"n_examples": 0}, "example count must be at least 1"),
+    ({"noise_level": -0.1}, "noise level must be non-negative and finite, got -0.1"),
+    ({"noise_level": float("nan")}, "noise level must be non-negative and finite, got nan"),
+    ({"distribution": "x"}, "unknown distribution 'x'"),
+    ({"lo": 11.0}, "invalid range (11.0, 11.0)"),
+    ({"input_sets": 1}, "set count must be at least 2"),
+    ({"input_sets": "3"}, "set count must be an integer, got '3'"),
+    ({"output_sets": 1}, "set count must be at least 2"),
+    ({"width_factor": 0}, "invalid width factor: 0"),
+]
+
+
+@pytest.mark.parametrize("bad,message", BAD_CELLS, ids=[repr(bad) for bad, _ in BAD_CELLS])
+def test_a_cell_that_cannot_run_is_refused_when_it_is_made(bad, message):
+    # simplified never reads the tuning fields, yet they are checked too.
+    fields = {"algorithm": cli.SIMPLIFIED, **bad}
+    with pytest.raises(ValueError) as made:
+        ExperimentConfig(**fields)
+    assert message in str(made.value)
+    with pytest.raises(ValueError) as replaced:
+        dataclasses.replace(ExperimentConfig(cli.SIMPLIFIED), **bad)
+    assert str(replaced.value) == str(made.value)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +526,8 @@ def test_sweep_refuses_models_over_the_cell_limit(capsys, tmp_path, monkeypatch)
     # A cell whose model grid is over the limit fails before it builds a partition.
     out_path = tmp_path / "s.csv"
     built = []
+    # the sweep's base cell is checked too, which builds its own partitions
+    cli.build_partitions(ExperimentConfig(cli.SIMPLIFIED))
     monkeypatch.setattr(cli, "Partition", lambda *args: built.append(args))
     monkeypatch.setitem(
         cli.PRESETS, "noise-levels", [{"algorithm": "cluster-tri", "input_sets": 4000}]
@@ -617,6 +663,33 @@ def test_sweep_datasize_rejects_n_flag_and_ignores_config_n(capsys, tmp_path):
     code, out, err = run(capsys, "sweep", "datasize", "--trials", "1", "--config", str(config))
     assert code == 0, err
     assert [line.split(",")[5] for line in out.splitlines()[1:]] == ["100", "400"]
+
+
+def test_sweep_refuses_a_flag_whose_field_the_preset_sets(capsys, tmp_path, monkeypatch):
+    # A preset whose cells set the width factor, as a width sweep would.
+    cells = [{"algorithm": cli.CLUSTER_GAUSS, "width_factor": w} for w in (0.25, 1.0, 0.25)]
+    monkeypatch.setitem(cli.PRESETS, "noise-levels", cells)
+    widths = []
+    run_pair = cli.run_pair
+    monkeypatch.setattr(
+        cli, "run_pair", lambda cfg, seed: widths.append(cfg.width_factor) or run_pair(cfg, seed)
+    )
+    argv = ("sweep", "noise-levels", "--trials", "1", "--n", "20")
+    code, out, err = run(capsys, *argv, "--width-factor", "0.5")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: --width-factor does not apply to the noise-levels preset, "
+        "which runs width_factor = 0.25 and 1.0\n"
+    )
+    assert widths == []
+    # A config-file width factor is ignored, even one no cell could take.
+    for width in ("0.75", "0"):
+        config = tmp_path / "shared.conf"
+        config.write_text(f"width_factor={width}\n")
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert code == 0, err
+        assert widths == [0.25, 1.0, 0.25]
+        widths.clear()
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -18,6 +18,7 @@ from fuzzgrid import (
     grid_axes,
 )
 from fuzzgrid.cli import SIMPLIFIED, ExperimentConfig, run_cells
+from fuzzgrid.inference import check_model_size
 from fuzzgrid.membership import KINDS
 
 from oracles import argmax_set, degree
@@ -112,6 +113,7 @@ COUNT_ENTRY_POINTS = {
         lambda n: difference_surface(square_model(), square_model(), n).diff_grid.tolist()
     ),
     "run_cells trials": lambda n: run_cells([ExperimentConfig(SIMPLIFIED, n_examples=20)], n),
+    "check_model_size sizes": lambda n: check_model_size([n, 3], n),
 }
 
 
