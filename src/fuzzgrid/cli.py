@@ -179,7 +179,9 @@ def build_partitions(cfg: ExperimentConfig):
 
 # Keyed by the fields that fix the partitions, never by identity. Eight
 # entries hold partition-sweep's eight structures (two kinds, four counts).
-@functools.lru_cache(maxsize=8)
+# Typed, so a bool width factor or output bound, equal to 1, never takes a
+# number's entry and skips Partition's type check.
+@functools.lru_cache(maxsize=8, typed=True)
 def _partitions(kind, input_sets, width_factor, domain, output_sets, out_lo, out_hi):
     check_model_size([input_sets] * len(domain), output_sets)
     inputs = tuple(Partition(lo, hi, input_sets, kind, width_factor) for lo, hi in domain)
@@ -417,17 +419,21 @@ def _experiment(algorithm: str, values: dict) -> ExperimentConfig:
     return ExperimentConfig(algorithm, **{field: values[name] for name, field in _FIELDS.items()})
 
 
-def _die(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
+
+def _read(read, path, what: str):
+    """read(path), its OSError or ValueError raised as ValueError
+    "cannot <what> <path>: <reason>", so the message names the file."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as e:
+        raise ValueError(f"cannot {what} {path}: {e}") from None
+
 
 def cmd_gen(args) -> int:
     cfg = _experiment(SIMPLIFIED, _resolve(args))
@@ -443,11 +449,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     # the cell is checked before the dataset is read
     cfg = _experiment(args.algo, _resolve(args))
-    try:
-        data = read_dataset(args.dataset)
-    except (OSError, ValueError) as e:
-        return _die(f"cannot read dataset {args.dataset}: {e}")
-    model = train_model(cfg, data)
+    model = train_model(cfg, _read(read_dataset, args.dataset, "read dataset"))
     save_model(model, args.model)
     _note(
         f"trained {cfg.algorithm} {cfg.input_sets}x{cfg.input_sets} model: "
@@ -458,11 +460,8 @@ def cmd_train(args) -> int:
 
 def cmd_diff(args) -> int:
     resolution = _resolve(args)["resolution"]
-    try:
-        clean = load_model(args.clean_model)
-        noisy = load_model(args.noisy_model)
-    except (OSError, ValueError) as e:
-        return _die(f"cannot load model: {e}")
+    clean = _read(load_model, args.clean_model, "load model")
+    noisy = _read(load_model, args.noisy_model, "load model")
     report = difference_surface(clean, noisy, resolution)
     if args.out:
         meta = {
@@ -485,11 +484,7 @@ def cmd_diff(args) -> int:
 
 def cmd_eval(args) -> int:
     resolution = _resolve(args)["resolution"]
-    try:
-        model = load_model(args.model)
-    except (OSError, ValueError) as e:
-        return _die(f"cannot load model: {e}")
-    _print_metrics(**model_error(model, resolution))
+    _print_metrics(**model_error(_read(load_model, args.model, "load model"), resolution))
     return 0
 
 
@@ -594,7 +589,8 @@ def main(argv=None) -> int:
     try:
         return globals()["cmd_" + args.command](args)
     except (OSError, ValueError) as e:
-        return _die(str(e))
+        _note(f"error: {e}")
+        return 1
 
 
 if __name__ == "__main__":

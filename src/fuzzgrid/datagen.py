@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .membership import _check_choice, _check_count, _check_range
+from .membership import _check_choice, _check_count, _check_range, _check_real
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -142,7 +142,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DataSpec:
-    """What to generate: size, ranges, sampling shape, noise, seed."""
+    """What to generate: size, ranges, sampling shape, noise, seed.
+
+    Making one raises ValueError unless make_plane_dataset can run it: n
+    and seed are integers (numpy's too, kept as Python ints; n at least
+    1, any seed), the distribution is one of DISTRIBUTIONS, the domain is
+    two (lo, hi) ranges of real numbers with lo < hi and lo, hi, hi - lo
+    finite, and the noise level is a real number, non-negative and finite.
+    """
 
     n: int
     domain: tuple = DEFAULT_DOMAIN
@@ -152,9 +159,12 @@ class DataSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_count("example count", self.n, 1))
+        object.__setattr__(self, "seed", _check_count("seed", self.seed))
         _check_choice("distribution", self.distribution, DISTRIBUTIONS)
-        if not 0 <= self.noise_level < math.inf:
+        if not 0 <= _check_real("noise level", self.noise_level) < math.inf:
             raise ValueError(f"noise level must be non-negative and finite, got {self.noise_level}")
+        if len(self.domain) != 2:
+            raise ValueError(f"plane data needs exactly 2 inputs, domain has {len(self.domain)}")
         for lo, hi in self.domain:
             _check_range(lo, hi, "domain range")
 
@@ -207,12 +217,9 @@ def make_plane_dataset(spec: DataSpec) -> Dataset:
     The clean inputs produce z first; only then are the stored x, y, z
     perturbed (three draws per example, in that order). noise_level 0
     consumes no noise draws at all, so a clean spec and a noisy spec with
-    the same seed share identical underlying inputs.
+    the same seed share identical underlying inputs. spec checked itself
+    when it was made, so every spec runs.
     """
-    if len(spec.domain) != 2:
-        raise ValueError(
-            f"plane data needs exactly 2 inputs, domain has {len(spec.domain)}"
-        )
     rng = Rng(spec.seed)
     X = _draw_inputs(spec, rng)
     z = X[:, 0] + X[:, 1]

@@ -241,13 +241,16 @@ def _format_partition(role: str, p: Partition) -> str:
     )
 
 
-def _parse_partition(line: str) -> tuple[str, tuple]:
-    """The role and the Partition arguments of a header line."""
+def _parse_partition(line_no: int, line: str) -> tuple[str, tuple]:
+    """The role and the Partition arguments of the header line at line_no."""
     parts = line.split()
     if len(parts) != 6 or parts[0] not in ("input", "output"):
-        raise ValueError(f"bad partition header line: {line!r}")
+        raise ValueError(f"line {line_no}: bad partition header line: {line!r}")
     role, kind, lo, hi, n, wf = parts
-    return role, (float(lo), float(hi), int(n), kind, float(wf))
+    try:
+        return role, (float(lo), float(hi), int(n), kind, float(wf))
+    except ValueError as e:
+        raise ValueError(f"line {line_no}: {e}") from None
 
 
 def save_model(model: FuzzyModel, path) -> None:
@@ -277,56 +280,54 @@ def save_model(model: FuzzyModel, path) -> None:
 def load_model(path) -> FuzzyModel:
     """Read a model written by save_model.
 
-    Malformed files raise ValueError: the headers describe a grid of
-    more than MAX_MODEL_CELLS cells or an output partition of more sets
-    (checked before anything is allocated), a rule line names a cell
-    outside the grid, names a cell an earlier line already filled, or
-    carries a conclusion or degree that is not finite.
+    Malformed files raise ValueError. A header or rule line that does not
+    parse names its file line ("line N: ..."), as does a header after a
+    rule line, a rule line that names a cell outside the grid or a cell
+    an earlier line already filled, or one that carries a conclusion or
+    degree that is not finite. The file as a whole must have at least one
+    input header and exactly one output header, and its headers must not
+    describe a grid of more than MAX_MODEL_CELLS cells or an output
+    partition of more sets (checked before anything is allocated).
     """
-    inputs = []
-    output = None
-    body = []
+    inputs, outputs, body = [], [], []
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("input ") or line.startswith("output "):
-                if body:
-                    raise ValueError("partition header after rule lines")
-                role, args = _parse_partition(line)
-                if role == "input":
-                    inputs.append(args)
-                elif output is not None:
-                    raise ValueError("more than one output partition")
-                else:
-                    output = args
-            else:
+            if not line.startswith(("input ", "output ")):
                 body.append((line_no, line))
-    if not inputs or output is None:
+            elif body:
+                raise ValueError(f"line {line_no}: partition header after rule lines")
+            else:
+                role, args = _parse_partition(line_no, line)
+                (inputs if role == "input" else outputs).append(args)
+    if len(outputs) > 1:
+        raise ValueError("more than one output partition")
+    if not inputs or not outputs:
         raise ValueError("model file lacks partition headers")
-    check_model_size([args[2] for args in inputs], output[2])
+    check_model_size([args[2] for args in inputs], outputs[0][2])
     inputs = [Partition(*args) for args in inputs]
-    output = Partition(*output)
+    output = Partition(*outputs[0])
     shape = tuple(p.n for p in inputs)
     conclusions = np.full(shape, np.nan)
     degrees = np.full(shape, np.nan)
     d = len(inputs)
     for line_no, line in body:
-        parts = line.split()
-        if len(parts) != d + 2:
-            raise ValueError(f"bad rule line: {line!r}")
-        idx = tuple(int(v) for v in parts[:d])
-        for i, p in zip(idx, inputs):
-            if not 0 <= i < p.n:
+        try:
+            parts = line.split()
+            if len(parts) != d + 2:
+                raise ValueError(f"bad rule line: {line!r}")
+            idx = tuple(int(v) for v in parts[:d])
+            if not all(0 <= i < n for i, n in zip(idx, shape)):
                 raise ValueError(f"cell index {idx} out of range for grid {shape}")
-        conclusion, degree = float(parts[d]), float(parts[d + 1])
-        if not (math.isfinite(conclusion) and math.isfinite(degree)):
-            raise ValueError(
-                f"line {line_no}: conclusion and degree must be finite: {line!r}"
-            )
-        if not np.isnan(conclusions[idx]):
-            raise ValueError(f"line {line_no}: cell {idx} appears twice")
+            conclusion, degree = float(parts[d]), float(parts[d + 1])
+            if not (math.isfinite(conclusion) and math.isfinite(degree)):
+                raise ValueError(f"conclusion and degree must be finite: {line!r}")
+            if not np.isnan(conclusions[idx]):
+                raise ValueError(f"cell {idx} appears twice")
+        except ValueError as e:
+            raise ValueError(f"line {line_no}: {e}") from None
         conclusions[idx] = conclusion
         degrees[idx] = degree
     return FuzzyModel(inputs, output, conclusions, degrees)

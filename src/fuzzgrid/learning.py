@@ -16,7 +16,8 @@ import numpy as np
 
 from .datagen import Dataset
 from .inference import FuzzyModel
-from .membership import GAUSSIAN, TRIANGULAR, Partition, _check_choice, _check_count, activations
+from .membership import GAUSSIAN, TRIANGULAR, Partition, activations
+from .membership import _check_choice, _check_count, _check_real
 
 EMPTY_WEIGHT_THRESHOLD = 1e-12
 
@@ -36,7 +37,7 @@ class NeuroFuzzyConfig:
         # initialization. A weight row w is non-negative and sums to 1, so
         # |w|^2 <= 1 and alpha <= 2 keeps every step c - alpha (w.c - z) w
         # non-expansive; larger rates can diverge to inf and NaN.
-        if not 0 <= self.alpha <= 2:
+        if not 0 <= _check_real("alpha", self.alpha) <= 2:
             raise ValueError(f"alpha must be in [0, 2], got {self.alpha}")
         object.__setattr__(self, "epochs", _check_count("epochs", self.epochs, 0))
         _check_choice("init mode", self.init, INITS)

@@ -49,6 +49,14 @@ def _check_count(what, value, least=None, most=None) -> int:
     return int(value)
 
 
+def _check_real(what, value):
+    """value, or ValueError unless it is a real number (numpy's too, never
+    a bool); NaN and the infinities are left to the caller's own check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return value
+
+
 def _check_choice(what, value, choices) -> None:
     """ValueError naming the choices unless value is one of them."""
     if value not in choices:
@@ -56,7 +64,9 @@ def _check_choice(what, value, choices) -> None:
 
 
 def _check_range(lo, hi, what) -> None:
-    """ValueError unless lo < hi and lo, hi and hi - lo are finite."""
+    """ValueError unless lo and hi are real numbers, lo < hi, and lo, hi
+    and hi - lo are finite."""
+    lo, hi = (_check_real("range bound", bound) for bound in (lo, hi))
     # hi - lo is inf or NaN when a bound is not finite or the span overflows
     if not (lo < hi and np.isfinite(hi - lo)):
         raise ValueError(f"invalid {what} ({lo}, {hi}): need lo < hi, and lo, hi, hi - lo finite")
@@ -70,16 +80,19 @@ class Partition:
     is not representable). Instances are immutable: nothing mutates them
     after construction, and centers is read-only. The partition and grid
     caches share equal partitions by value, so a bound of -0.0 is stored
-    as 0.0. Equal partitions give equal degrees: == and hash leave out a
-    triangular partition's width factor, which changes none, though repr
-    and model files still show the one given.
+    as 0.0. == and hash compare (lo, hi, n, kind, width), the fields that
+    fix the degrees, so equal partitions give equal degrees. Two width
+    factors that give the same width compare equal: a triangular set's
+    width is the spacing whatever its factor, and a gaussian one's is the
+    factor times the spacing, rounded. repr and model files still show
+    the factor given.
     """
 
     def __init__(self, lo, hi, n, kind, width_factor=DEFAULT_WIDTH_FACTOR):
         _check_range(lo, hi, "range")
         self.n = _check_count("set count", n, 2)
         _check_choice("membership kind", kind, KINDS)
-        if not 0 < width_factor < np.inf:
+        if not 0 < _check_real("width factor", width_factor) < np.inf:
             raise ValueError(f"invalid width factor: {width_factor} (must be finite and > 0)")
         self.lo = float(lo) + 0.0
         self.hi = float(hi) + 0.0
@@ -136,10 +149,8 @@ class Partition:
         return self.lo == other.lo and self.hi == other.hi
 
     def _key(self):
-        # A triangular set's width is the spacing, so its width factor
-        # changes no degree and does not tell partitions apart.
-        width_factor = self.width_factor if self.kind == GAUSSIAN else None
-        return self.lo, self.hi, self.n, self.kind, width_factor
+        # the fields that fix the degrees
+        return self.lo, self.hi, self.n, self.kind, self.width
 
     def __eq__(self, other):
         if not isinstance(other, Partition):

@@ -340,6 +340,33 @@ def test_diff_missing_model(capsys, tmp_path):
     assert "cannot load model" in err
 
 
+@pytest.mark.parametrize("broken", ["clean", "noisy"])
+def test_diff_names_the_model_it_cannot_load(capsys, tmp_path, broken):
+    # The message used to read "cannot load model: line ...", naming neither.
+    models = dict(zip(("clean", "noisy"), make_pair(capsys, tmp_path)))
+    bad = models[broken]
+    lines = bad.read_text().splitlines()
+    bad.write_text("\n".join(lines + lines[-1:]) + "\n")
+    report = tmp_path / "report.csv"
+    code, out, err = run(
+        capsys, "diff", str(models["clean"]), str(models["noisy"]), "--out", str(report)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot load model {bad}: line {len(lines) + 1}: cell (")
+    assert err.endswith(") appears twice\n")
+    assert not report.exists()
+
+
+def test_eval_names_the_model_it_cannot_load(capsys, tmp_path):
+    bad = tmp_path / "bad.model"
+    bad.write_text("# fuzzgrid model\ninput triangular 1 11 3.5 0.5\n")
+    code, out, err = run(capsys, "eval", str(bad))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: cannot load model {bad}: line 2: invalid literal for int() with base 10: '3.5'\n"
+    )
+
+
 def test_eval_scores_against_plane(capsys, tmp_path):
     data = gen(capsys, tmp_path, "d.csv", "--n", "400")
     model = train(capsys, tmp_path, data, "m.model", "cluster-gauss")
@@ -504,6 +531,20 @@ BAD_CELLS = [
     ({"input_sets": "3"}, "set count must be an integer, got '3'"),
     ({"output_sets": 1}, "set count must be at least 2"),
     ({"width_factor": 0}, "invalid width factor: 0"),
+    ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ({"seed": "3"}, "seed must be an integer, got '3'"),
+    ({"seed": None}, "seed must be an integer, got None"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"alpha": "0.5"}, "alpha must be a real number, got '0.5'"),
+    ({"alpha": None}, "alpha must be a real number, got None"),
+    ({"alpha": True}, "alpha must be a real number, got True"),
+    ({"noise_level": "0.1"}, "noise level must be a real number, got '0.1'"),
+    ({"noise_level": True}, "noise level must be a real number, got True"),
+    ({"width_factor": "0.5"}, "width factor must be a real number, got '0.5'"),
+    ({"width_factor": True}, "width factor must be a real number, got True"),
+    ({"lo": "1"}, "range bound must be a real number, got '1'"),
+    ({"lo": True}, "range bound must be a real number, got True"),
+    ({"out_hi": "22"}, "range bound must be a real number, got '22'"),
 ]
 
 
@@ -517,6 +558,15 @@ def test_a_cell_that_cannot_run_is_refused_when_it_is_made(bad, message):
     with pytest.raises(ValueError) as replaced:
         dataclasses.replace(ExperimentConfig(cli.SIMPLIFIED), **bad)
     assert str(replaced.value) == str(made.value)
+
+
+@pytest.mark.parametrize("field", ["width_factor", "out_lo"])
+def test_a_bool_never_takes_the_cached_partitions_of_its_number(field):
+    # True equals 1.0 and hashes alike, so an untyped partition cache let it
+    # through once the partitions of 1.0 were built.
+    ExperimentConfig(cli.SIMPLIFIED, **{field: 1.0})
+    with pytest.raises(ValueError, match="must be a real number, got True$"):
+        ExperimentConfig(cli.SIMPLIFIED, **{field: True})
 
 
 # ---------------------------------------------------------------------------

@@ -183,9 +183,9 @@ def test_same_seed_same_dataset():
 
 
 def test_plane_needs_two_inputs():
-    spec = DataSpec(n=5, domain=((0.0, 1.0),) * 3)
-    with pytest.raises(ValueError, match="exactly 2 inputs"):
-        make_plane_dataset(spec)
+    # A recipe is checked when it is made, so make_plane_dataset runs every spec.
+    with pytest.raises(ValueError, match="^plane data needs exactly 2 inputs, domain has 3$"):
+        DataSpec(n=5, domain=((0.0, 1.0),) * 3)
 
 
 def test_dataset_is_columnar_and_list_like():
@@ -231,6 +231,8 @@ def test_dataspec_validation():
         DataSpec(n=10, noise_level=-0.1)
     with pytest.raises(ValueError, match="invalid domain range"):
         DataSpec(n=10, domain=((5.0, 5.0), (0.0, 1.0)))
+    # the seed has no lower bound: the generator takes its low 64 bits
+    assert DataSpec(n=10, seed=-1).seed == -1
 
 
 @pytest.mark.parametrize("noise", [math.nan, math.inf])

@@ -395,7 +395,7 @@ def test_load_rejects_oversized_headers_before_allocating(tmp_path, capsys, head
         load_model(bad)
     assert main(["eval", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert "cannot load model: a model of " in err and "output sets exceeds the limit" in err
+    assert f"cannot load model {bad}: a model of " in err and "output sets exceeds the limit" in err
 
 
 HEADER = (
@@ -409,6 +409,26 @@ def test_load_rejects_duplicate_cells(tmp_path):
     bad = tmp_path / "dup.model"
     bad.write_text(HEADER + "0 0 1.0 1.0\n1 1 2.0 1.0\n0 0 3.0 1.0\n")
     with pytest.raises(ValueError, match=r"line 6: cell \(0, 0\) appears twice"):
+        load_model(bad)
+
+
+# Each malformed line after HEADER's three, with the start of its error.
+MALFORMED_LINES = [
+    ("0 x 5.0 1.0\n", "line 4: invalid literal for int() with base 10: 'x'"),
+    ("0 0 abc 1.0\n", "line 4: could not convert string to float: 'abc'"),
+    ("0 0 1.0 1.0\n-1 0 5 1\n", "line 5: cell index (-1, 0) out of range for grid (3, 3)"),
+    ("0 5 1\n", "line 4: bad rule line: '0 5 1'"),
+    ("0 0 1.0 1.0\ninput triangular 0 10 3 0.5\n", "line 5: partition header after rule lines"),
+    ("output triangular 0 20 3.5 0.5\n", "line 4: invalid literal for int() with base 10: '3.5'"),
+    ("input triangular 0 10 3\n", "line 4: bad partition header line: 'input triangular 0 10 3'"),
+]
+
+
+@pytest.mark.parametrize("lines,message", MALFORMED_LINES)
+def test_load_names_the_line_of_every_malformed_line(tmp_path, lines, message):
+    bad = tmp_path / "bad.model"
+    bad.write_text(HEADER + lines)
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
         load_model(bad)
 
 

@@ -17,6 +17,7 @@ from fuzzgrid import (
     difference_surface,
     grid_axes,
 )
+from fuzzgrid import evaluation
 from fuzzgrid.cli import SIMPLIFIED, ExperimentConfig, run_cells
 from fuzzgrid.inference import check_model_size
 from fuzzgrid.membership import KINDS
@@ -80,6 +81,20 @@ def test_only_a_gaussian_width_factor_tells_partitions_apart():
     assert g == Partition(1, 11, 9, GAUSSIAN, 0.5) and g != p
 
 
+def test_width_factors_of_one_width_compare_equal():
+    # Two gaussian width factors whose sigmas round alike give bit-identical
+    # degrees, so they compare and hash alike and share one grid entry.
+    p = Partition(1, 11, 14, GAUSSIAN, 2.641804269351041)
+    q = Partition(1, 11, 14, GAUSSIAN, 2.6418042693510415)
+    assert p.width_factor != q.width_factor and p.width == q.width
+    xs = np.linspace(0, 12, 101)
+    assert np.array_equal(p.degrees(xs), q.degrees(xs))
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    evaluation._evaluation.cache_clear()
+    assert evaluation._evaluation(q, 50) is evaluation._evaluation(p, 50)
+    assert evaluation._evaluation.cache_info().currsize == 1
+
+
 def test_gaussian_width_factor():
     p = Partition(0, 10, 3, GAUSSIAN, 0.5)
     assert p.width == 2.5
@@ -106,6 +121,7 @@ def square_model():
 # points, each with what it gives back for a valid count.
 COUNT_ENTRY_POINTS = {
     "DataSpec n": lambda n: DataSpec(n=n).n,
+    "DataSpec seed": lambda n: DataSpec(n=1, seed=n).seed,
     "Partition n": lambda n: Partition(0, 10, n, TRIANGULAR).n,
     "NeuroFuzzyConfig epochs": lambda n: NeuroFuzzyConfig(epochs=n).epochs,
     "grid_axes resolution": lambda n: grid_axes(square_model(), n)[0].tolist(),
@@ -131,6 +147,31 @@ def test_count_entry_points_take_numpy_integers(entry):
     assert value == COUNT_ENTRY_POINTS[entry](3)
     # a count that is kept is kept as a Python int
     assert not isinstance(value, np.integer)
+
+
+# The real-valued arguments of the value types, each with what it keeps.
+REAL_ENTRY_POINTS = {
+    "NeuroFuzzyConfig alpha": lambda v: NeuroFuzzyConfig(alpha=v).alpha,
+    "DataSpec noise_level": lambda v: DataSpec(n=1, noise_level=v).noise_level,
+    "DataSpec domain": lambda v: DataSpec(n=1, domain=((v, 2.0), (0.0, 1.0))).domain,
+    "Partition lo": lambda v: Partition(v, 2.0, 3, TRIANGULAR).lo,
+    "Partition hi": lambda v: Partition(-1.0, v, 3, TRIANGULAR).hi,
+    "Partition width factor": lambda v: Partition(0, 1, 3, GAUSSIAN, v).width,
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None])
+@pytest.mark.parametrize("entry", REAL_ENTRY_POINTS)
+def test_real_entry_points_refuse_non_numbers_and_bools(entry, value):
+    # These used to raise TypeError, and True used to be taken as 1.0.
+    with pytest.raises(ValueError, match=f"must be a real number, got {value!r}$"):
+        REAL_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(1)])
+@pytest.mark.parametrize("entry", REAL_ENTRY_POINTS)
+def test_real_entry_points_take_numpy_reals(entry, value):
+    assert REAL_ENTRY_POINTS[entry](value) == REAL_ENTRY_POINTS[entry](value.item())
 
 
 @pytest.mark.parametrize(
