@@ -203,7 +203,7 @@ def run_pair(cfg: ExperimentConfig, seed: int):
 
     Both datasets share the seed, so they share the same underlying
     clean inputs; only the stored coordinates of the noisy one are
-    perturbed. The datasets come from _dataset, which keeps the last two
+    perturbed. The datasets come from _dataset, which keeps the last four
     built, so consecutive calls at one seed and data recipe (n, domain,
     distribution, noise level) build them once. The cells of a preset
     share the recipe, apart from datasize's n and noise-levels' noise
@@ -214,13 +214,20 @@ def run_pair(cfg: ExperimentConfig, seed: int):
     return clean, noisy, difference_surface(clean, noisy, cfg.resolution)
 
 
-# Two entries hold one seed's clean and noisy datasets; noise-levels' cells
-# also share the clean one. Keyed by the frozen spec, never by identity.
-@functools.lru_cache(maxsize=2)
+# Two entries would hold one seed's clean and noisy datasets (noise-levels'
+# cells also share the clean one); four keep the last trial's pair alive
+# while the next trial builds its own, so a trial's degree matrices are
+# freed below the next one's. With two, at n = 1000, freeing them let
+# glibc hand the heap top back to the system, and each trial page-faulted
+# it in again (about 290 page faults per algorithm-ladder trial). Keyed by
+# the frozen spec, never by identity.
+@functools.lru_cache(maxsize=4)
 def _dataset(spec: DataSpec):
     """make_plane_dataset(spec), with X and z read-only: every run_pair
     call at this spec trains on the same arrays, so a learner that wrote
-    to them would change the next cell's data. Writing raises instead."""
+    to them would change the next cell's data. Writing raises instead.
+    Read-only, the dataset also keeps the degree matrices its learners
+    read (Dataset.degrees), so the cells of a trial share them."""
     data = make_plane_dataset(spec)
     data.X.flags.writeable = False
     data.z.flags.writeable = False

@@ -96,10 +96,11 @@ class Dataset:
     record per row, x a tuple of floats; there is no indexing. == compares
     the arrays.
     Instances are immutable by convention; nothing mutates them after
-    construction.
+    construction. The learners take each input's membership degrees from
+    degrees, which keeps them only while X is read-only.
     """
 
-    __slots__ = ("X", "z")
+    __slots__ = ("X", "z", "_degrees")
 
     def __init__(self, X, z):
         X = np.ascontiguousarray(X, dtype=float)
@@ -119,6 +120,25 @@ class Dataset:
             )
         self.X = X
         self.z = z
+        self._degrees = {}
+
+    def degrees(self, partition, k) -> np.ndarray:
+        """partition.degrees(self.X[:, k]), for reading only.
+
+        While X is read-only, as it is for the datasets that a sweep's
+        cells share, each matrix is computed once per partition (compared
+        by value) and column, and kept read-only. A writeable X computes
+        its degrees at every call, so an edit to X in place is never
+        answered with stale degrees.
+        """
+        if self.X.flags.writeable:
+            return partition.degrees(self.X[:, k])
+        key = partition, k
+        if key not in self._degrees:
+            deg = partition.degrees(self.X[:, k])
+            deg.flags.writeable = False
+            self._degrees[key] = deg
+        return self._degrees[key]
 
     @property
     def dim(self) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 from .datagen import Dataset
 from .inference import FuzzyModel
 from .membership import GAUSSIAN, TRIANGULAR, Partition, activations
-from .membership import _check_choice, _check_count, _check_real
+from .membership import _check_choice, _check_count, _check_real, _products
 
 EMPTY_WEIGHT_THRESHOLD = 1e-12
 
@@ -51,6 +51,12 @@ def _check_data(data: Dataset, inputs) -> None:
         )
 
 
+def _degrees(data: Dataset, inputs):
+    """Each input's degree matrix over data, unclamped and for reading
+    only: a read-only dataset keeps them (Dataset.degrees)."""
+    return [data.degrees(p, k) for k, p in enumerate(inputs)]
+
+
 def _check_kind(partitions, kind, what):
     for p in partitions:
         if p.kind != kind:
@@ -72,8 +78,7 @@ def wm_learn(data: Dataset, inputs, output: Partition) -> FuzzyModel:
     rows = np.arange(len(data))
     idx = []
     degree = np.ones(len(data))
-    for p, x in zip(inputs, data.X.T):
-        deg = p.degrees(x)
+    for p, x, deg in zip(inputs, data.X.T, _degrees(data, inputs)):
         # In range the argmax is best's; above hi every degree may be 0,
         # whose argmax is set 0, so rows out of range go through best.
         i = deg.argmax(axis=1)
@@ -119,15 +124,14 @@ def cluster_learn(data: Dataset, inputs, output: Partition) -> FuzzyModel:
             # The weights are products over the inputs, so the sums factor:
             # with A the weights of the cells of all inputs but the last and
             # D the last input's degrees, den = A^T D and num = A^T (D * z).
-            A = activations(inputs[:-1], data.X[:, :-1])
-            D = inputs[-1].degrees(data.X[:, -1])
+            *rest, D = _degrees(data, inputs)
+            A = _products(rest, len(data))
             den = A.T.dot(D)
-            D *= data.z[:, None]
-            num = A.T.dot(D)
+            num = A.T.dot(D * data.z[:, None])
         else:
             # Row by row, in place: C02 pins these sums bit for bit against
             # oracles.cluster_grid, and a matrix product adds in another order.
-            W = activations(inputs, data.X)
+            W = _products(_degrees(data, inputs), len(data))
             den = W.sum(axis=0)
             W *= data.z[:, None]
             num = W.sum(axis=0)
@@ -279,16 +283,26 @@ def _build(Ws, zs, alpha: float):
     halves, which are built together for all such blocks of the stack.
 
     K_b is alpha times the inverse of the unit lower-triangular T_b = I +
-    alpha * tril(W_b W_b^T, -1); all of the stack's come from one stacked
-    product and one _unit_lower_inverse."""
-    T = np.matmul(Ws, Ws.transpose(0, 2, 1))
-    rows = np.arange(T.shape[1])
+    alpha * tril(W_b W_b^T, -1). All of the stack's T_b come from one
+    stacked product, written straight into the padded stack that
+    _unit_lower_inverse inverts in place, and the growth check takes |K_b|
+    a few blocks at a time. So W, the stack and no other array of the
+    stack's size are alive at once. At 1000 rows a third such array took
+    the heap past the size at which glibc's malloc hands its top back to
+    the system, and every algorithm-ladder trial page-faulted it in again."""
+    rows = np.arange(Ws.shape[1])
+    X = _padded_stack(len(Ws), len(rows))
+    T = X[:, : len(rows), : len(rows)]
+    np.matmul(Ws, Ws.transpose(0, 2, 1), out=T)
     T *= alpha * np.tri(len(rows), k=-1)  # alpha times the strict lower triangle
     T[:, rows, rows] = 1.0
-    K = _unit_lower_inverse(T)
+    K = _unit_lower_inverse(X)[:, : len(rows), : len(rows)]
     K *= alpha
     parts = [[block] for block in zip(Ws, K, zs)]
-    grown = np.flatnonzero((np.abs(K, out=T).sum(axis=2) > _GROWTH * alpha).any(axis=1))
+    sums = np.empty(K.shape[:2])
+    for i in range(0, len(K), 8):
+        np.abs(K[i : i + 8]).sum(axis=2, out=sums[i : i + 8])
+    grown = np.flatnonzero((sums > _GROWTH * alpha).any(axis=1))
     if len(grown):
         half = (len(rows) + 1) // 2
         firsts = _build(Ws[grown, :half], zs[grown, :half], alpha)
@@ -298,9 +312,20 @@ def _build(Ws, zs, alpha: float):
     return parts
 
 
-def _unit_lower_inverse(T):
-    """The inverses of the stack T of unit lower-triangular matrices, by
-    recursive doubling (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992).
+def _padded_stack(n: int, m: int):
+    """n identity matrices of side the power of two at or above m, each
+    with a spare zero row (see _unit_lower_inverse): the stack an m x m
+    matrix stack is written into, at [:, :m, :m], to be inverted."""
+    side = 1 << (m - 1).bit_length()
+    X = np.zeros((n, side + 1, side))
+    X[:, :side] = np.eye(side)
+    return X
+
+
+def _unit_lower_inverse(X):
+    """Inverts in place the unit lower-triangular matrices of the stack X
+    of _padded_stack, by recursive doubling (Du Croz and Higham, IMA J.
+    Numer. Anal. 12, 1992); returns X.
 
     Each matrix is padded with the identity to a side that is a power of
     two. Once its diagonal blocks of side s are inverted in place, each
@@ -308,15 +333,11 @@ def _unit_lower_inverse(T):
     T's, and its inverse is [[A^-1, 0], [-B^-1 C A^-1, B^-1]]. So each
     doubling of s is two batched products over all those blocks at once.
     """
-    n, m = T.shape[:2]
-    side = 1 << (m - 1).bit_length()
-    # A spare row makes the diagonal blocks a view: laid out flat, each
+    n, side = X.shape[0], X.shape[2]
+    # The spare row makes the diagonal blocks a view: laid out flat, each
     # matrix is side / b runs of b * (side + 1) entries, and run j, read as
     # rows of side entries, starts at entry (j b, j b) of the matrix, so the
     # first b columns of its first b rows are the j-th diagonal block of side b.
-    X = np.zeros((n, side + 1, side))
-    X[:, :side] = np.eye(side)
-    X[:, :m, :m] = T
     s = 1
     while s < side:
         b = 2 * s
@@ -324,7 +345,7 @@ def _unit_lower_inverse(T):
         D = runs.reshape(n, side // b, b, side)[..., :b]
         D[..., s:, :s] = -(D[..., s:, s:] @ D[..., s:, :s]) @ D[..., :s, :s]
         s = b
-    return X[:, :m, :m]
+    return X
 
 
 def _pass(blocks, C):
@@ -346,9 +367,19 @@ def _tuning_weights(data: Dataset, inputs, flat_idx):
     whose filled cells all have zero weight keeps a zero row, which leaves
     every conclusion as it is (see _sweep), and the target 0. Returns a
     C-contiguous (len(data), len(flat_idx)) array and a (len(data),) one.
+
+    The weights start from the unclamped degrees of _degrees, which a
+    read-only dataset keeps from the cluster init, and only the rows of
+    examples with an input out of range are rebuilt by activations on
+    their clamped inputs. Row k of activations(X) is bit-identical to
+    activations(X[k:k + 1]), so W is activations on the clamped inputs,
+    bit for bit.
     """
-    X = np.clip(data.X, [p.lo for p in inputs], [p.hi for p in inputs])
-    W = activations(inputs, X)
+    W = _products(_degrees(data, inputs), len(data))
+    lo, hi = [p.lo for p in inputs], [p.hi for p in inputs]
+    out = np.flatnonzero(((data.X < lo) | (data.X > hi)).any(axis=1))
+    if len(out):
+        W[out] = activations(inputs, np.clip(data.X[out], lo, hi))
     if len(flat_idx) < W.shape[1]:
         # The fancy index gives a strided copy; its row sums differ from
         # sums over contiguous rows in the last bit.

@@ -9,14 +9,18 @@ zero, which trades the partition-of-unity property for global support.
 
 Where inputs outside [lo, hi] are clamped into range, and where not:
 
-- Partition.degrees and activations do not clamp. cluster_learn's
-  weights (activations, and for gaussian sets the last input's degrees
-  in a matrix product) and the wm_learn implication degree (degrees)
-  come straight from them: an out-of-range example counts less than it
-  would at the edge, and fades to nothing far outside.
-- The neuro-fuzzy learner clamps its examples before it calls
-  activations, and FuzzyModel.outputs clamps its axes, so the tuning
-  weights, infer and the grid evaluations see clamped inputs: an
+- Partition.degrees, activations and Dataset.degrees do not clamp.
+  The learners read every example's degrees from Dataset.degrees (kept
+  by a read-only dataset): cluster_learn's weights (their products, and
+  for gaussian sets the last input's degrees in a matrix product) and
+  the wm_learn implication degree come straight from them, so an
+  out-of-range example counts less than it would at the edge, and fades
+  to nothing far outside.
+- The neuro-fuzzy tuning weights clamp: they rebuild the weights of the
+  examples with an input out of range by activations on their clamped
+  inputs, bit for bit activations on all the clamped inputs (row k of
+  the degrees of x is those of x[k]). FuzzyModel.outputs clamps its axes, so
+  infer and the grid evaluations see clamped inputs too: an
   out-of-range query resolves to the nearest edge region.
 - Partition.best clamps, so wm_learn's cell choice and the output-set
   quantization see clamped values. (wm_learn takes an in-range input's
@@ -26,6 +30,7 @@ Where inputs outside [lo, hi] are clamped into range, and where not:
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -51,9 +56,15 @@ def _check_count(what, value, least=None, most=None) -> int:
 
 def _check_real(what, value):
     """value, or ValueError unless it is a real number (numpy's too, never
-    a bool); NaN and the infinities are left to the caller's own check."""
+    a bool); NaN and the infinities are left to the caller's own check.
+    A number too large for a float, such as 10**400, comes back as the
+    infinity of its sign, so that check refuses it too."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
     return value
 
 
@@ -171,16 +182,23 @@ def activations(partitions, X) -> np.ndarray:
     """Product-t-norm weight of every grid cell for each row of X.
 
     X has shape (N, d), one column per partition; like Partition.degrees
-    it does not clamp. Returns a C-contiguous (N, cells) array, cells in C
-    order of the grid (p1.n, ..., pd.n). Each weight is the left-to-right
-    product of its degrees, bit-identical to chained np.multiply.outer on
-    one row; with no partitions it is the empty product 1, in one cell.
-    An X of any other shape raises ValueError.
+    it does not clamp. Returns a new C-contiguous (N, cells) array, cells
+    in C order of the grid (p1.n, ..., pd.n). Each weight is the
+    left-to-right product of its degrees, bit-identical to chained
+    np.multiply.outer on one row; with no partitions it is the empty
+    product 1, in one cell. An X of any other shape raises ValueError.
     """
     if X.ndim != 2 or X.shape[1] != len(partitions):
         raise ValueError(f"X must have shape (N, {len(partitions)}), got {X.shape}")
-    W = None
-    for p, x in zip(partitions, X.T):
-        deg = p.degrees(x)
-        W = deg if W is None else np.einsum("ni,nj->nij", W, deg).reshape(len(deg), -1)
-    return np.ones((len(X), 1)) if W is None else W
+    return _products([p.degrees(x) for p, x in zip(partitions, X.T)], len(X))
+
+
+def _products(degrees, n) -> np.ndarray:
+    """activations from each input's (n, sets) degree matrix, which it
+    only reads: a new C-contiguous (n, cells) array."""
+    if not degrees:
+        return np.ones((n, 1))
+    W = degrees[0].copy()
+    for deg in degrees[1:]:
+        W = np.einsum("ni,nj->nij", W, deg).reshape(n, -1)
+    return W

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fuzzgrid import DataSpec, load_model, make_plane_dataset, read_dataset
+from fuzzgrid import GAUSSIAN, TRIANGULAR, DataSpec, Partition, load_model
+from fuzzgrid import make_plane_dataset, read_dataset
 from fuzzgrid import cli
 from fuzzgrid.cli import SUMMARY_COLUMNS, ExperimentConfig, main
 
@@ -418,6 +419,25 @@ def test_run_pair_builds_a_seeds_datasets_once(monkeypatch):
     assert len(built) == 6
     assert not shared.X.flags.writeable and not shared.z.flags.writeable
     assert make(built[-1]).X.flags.writeable
+
+
+def test_a_seeds_learners_share_one_degree_matrix_per_partition_and_input(monkeypatch):
+    # The ladder's four learners train on one seed's clean and noisy
+    # datasets: each dataset computes each input's full-length degrees once
+    # per membership kind, 2 * 2 * 2 calls where each learner used to make
+    # its own (20). The calls on fewer rows are grid axes, output sets and
+    # the clamped rows out of range.
+    cells = ladder_cells()
+    calls = []
+    degrees = Partition.degrees
+    monkeypatch.setattr(
+        Partition, "degrees", lambda p, x: calls.append((p.kind, np.shape(x))) or degrees(p, x)
+    )
+    cli._dataset.cache_clear()
+    for cfg in cells:
+        cli.run_pair(cfg, 3)
+    full = [kind for kind, shape in calls if shape == (cells[0].n_examples,)]
+    assert sorted(full) == [GAUSSIAN] * 4 + [TRIANGULAR] * 4
 
 
 def test_run_cells_runs_every_cell_at_a_seed_before_the_next(monkeypatch):

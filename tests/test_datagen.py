@@ -8,9 +8,11 @@ from hypothesis.extra import numpy as hnp
 
 from fuzzgrid import (
     CLUSTERED,
+    TRIANGULAR,
     UNIFORM,
     DataSpec,
     Dataset,
+    Partition,
     Rng,
     make_plane_dataset,
     read_dataset,
@@ -201,6 +203,22 @@ def test_dataset_is_columnar_and_list_like():
     assert Dataset([ex.x for ex in records], [ex.z for ex in records]) == data
 
 
+def test_only_a_read_only_dataset_keeps_its_degrees():
+    data = make_plane_dataset(DataSpec(n=20, noise_level=0.1, seed=4))
+    p = Partition(1, 11, 9, TRIANGULAR)
+    # Writeable: computed at every call, row by row as Partition.degrees.
+    first = data.degrees(p, 1)
+    assert np.array_equal(first, p.degrees(data.X[:, 1]))
+    assert data.degrees(p, 1) is not first
+    # Read-only: computed once per partition value and column, read-only.
+    data.X.flags.writeable = False
+    kept = data.degrees(p, 1)
+    assert data.degrees(Partition(1, 11, 9, TRIANGULAR), 1) is kept
+    assert np.array_equal(kept, first) and not kept.flags.writeable
+    assert data.degrees(p, 0) is not kept
+    assert np.array_equal(data.degrees(p, 0), p.degrees(data.X[:, 0]))
+
+
 def test_dataset_validates_once_at_construction(tmp_path):
     with pytest.raises(ValueError, match="finite"):
         Dataset([[1.0, 2.0], [3.0, float("nan")]], [3.0, 7.0])
@@ -235,15 +253,18 @@ def test_dataspec_validation():
     assert DataSpec(n=10, seed=-1).seed == -1
 
 
-@pytest.mark.parametrize("noise", [math.nan, math.inf])
+@pytest.mark.parametrize("noise", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
 def test_dataspec_rejects_non_finite_noise(noise):
-    # noise_level < 0 is false for NaN, which used to generate clean data.
+    # noise_level < 0 is false for NaN, which used to generate clean data,
+    # and 10**400 used to be kept and raise OverflowError in generation.
     with pytest.raises(ValueError, match="noise level must be non-negative and finite"):
         DataSpec(n=10, noise_level=noise)
 
 
 @pytest.mark.parametrize(
-    "axis", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308)]
+    "axis",
+    [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308),
+     pytest.param((0, 10**400), id="0-10**400")],
 )
 def test_dataspec_rejects_non_finite_domain(axis):
     with pytest.raises(ValueError, match="invalid domain range"):

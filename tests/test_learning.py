@@ -26,6 +26,7 @@ from fuzzgrid import (
 from fuzzgrid import learning
 from fuzzgrid.learning import (
     INITS,
+    _padded_stack,
     _powering_pays,
     _sweep,
     _tuning_weights,
@@ -456,12 +457,25 @@ def test_tuning_weights_match_per_example_reference():
     )
     three = [Partition(0, 1, 4, GAUSSIAN, 0.7) for _ in range(3)]
     cube = np.random.default_rng(43).uniform(-0.2, 1.2, (50, 3))
+    # Every row out of range on both inputs, below lo or above hi: every
+    # row of the weights comes from degrees of clamped values.
+    rng = np.random.default_rng(44)
+    outside = rng.uniform(11.0, 12.5, (60, 2))
+    outside[rng.random((60, 2)) < 0.5] -= 11.5
     cases = [
         (make_plane_dataset(DataSpec(n=300, noise_level=0.3, seed=5)), wide, 81),
         (half, narrow, 45),
         (corner, narrowest, 1),
         (Dataset(cube, [sum(x) for x in cube.tolist()]), three, 64),
+        (Dataset(outside, outside.sum(axis=1)), wide, 32),
     ]
+    assert all(((x < 1) | (x > 11)).all() for x in outside.T)
+    # A read-only copy of each: the cluster init keeps its degrees, and the
+    # weights take the clamped ones from them.
+    for data, inputs, cells in list(cases):
+        copy = Dataset(data.X.copy(), data.z.copy())
+        copy.X.flags.writeable = copy.z.flags.writeable = False
+        cases.append((copy, inputs, cells))
     for data, inputs, cells in cases:
         filled = cluster_learn(data, inputs, out).filled_mask()
         flat_idx = np.flatnonzero(filled.ravel())
@@ -472,7 +486,7 @@ def test_tuning_weights_match_per_example_reference():
         assert np.array_equal(weights, np.array(ref_weights))
         assert np.array_equal(targets, ref_targets)
         zero_rows = np.flatnonzero(~weights.any(axis=1))
-        assert zero_rows.tolist() == ([4] if data is corner else [])
+        assert zero_rows.tolist() == ([4] if data == corner else [])
 
 
 def assert_matches_loop(got, ref, *inputs):
@@ -530,7 +544,9 @@ def test_unit_lower_inverse_matches_lapack(alpha):
     rng = np.random.default_rng(0)
     for rows in range(1, 33):
         T = block_systems(rows, alpha, rng)
-        X = _unit_lower_inverse(T)
+        X = _padded_stack(len(T), rows)
+        X[:, :rows, :rows] = T
+        X = _unit_lower_inverse(X)[:, :rows, :rows]
         assert X.shape == T.shape
         scale = np.abs(X).max()
         assert np.abs(T @ X - np.eye(rows)).max() <= 1e-12 * scale
@@ -904,3 +920,28 @@ def test_learners_take_read_only_data():
         assert a.conclusions.tobytes() == b.conclusions.tobytes()
         assert a.degrees.tobytes() == b.degrees.tobytes()
     assert frozen == writeable
+
+
+def test_a_writeable_dataset_edited_in_place_trains_on_its_new_values():
+    # Only a read-only dataset keeps its degrees, so every learner trains
+    # on a writeable one as it is now, not as it was at the last training.
+    spec = DataSpec(n=100, noise_level=0.1, seed=6)
+    tri = [Partition(1, 11, 9, TRIANGULAR)] * 2
+    gauss = [Partition(1, 11, 9, GAUSSIAN)] * 2
+    out = Partition(2, 22, 13, TRIANGULAR)
+    learners = [
+        lambda data: wm_learn(data, tri, out),
+        lambda data: cluster_learn(data, tri, out),
+        lambda data: cluster_learn(data, gauss, out),
+    ] + [
+        lambda data, init=init: neurofuzzy_learn(data, gauss, out, NeuroFuzzyConfig(init=init))
+        for init in INITS
+    ]
+    for learn in learners:
+        data = make_plane_dataset(spec)
+        before = learn(data)
+        data.X[:] = data.X[::-1].copy()
+        after = learn(data)
+        fresh = learn(Dataset(data.X.copy(), data.z))
+        assert after.conclusions.tobytes() == fresh.conclusions.tobytes()
+        assert after.conclusions.tobytes() != before.conclusions.tobytes()

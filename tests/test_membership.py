@@ -175,17 +175,28 @@ def test_real_entry_points_take_numpy_reals(entry, value):
 
 
 @pytest.mark.parametrize(
-    "lo,hi", [(math.nan, 10.0), (0.0, math.nan), (-math.inf, 10.0), (0.0, math.inf), (-1e308, 1e308)]
+    "lo,hi",
+    [
+        (math.nan, 10.0),
+        (0.0, math.nan),
+        (-math.inf, 10.0),
+        (0.0, math.inf),
+        (-1e308, 1e308),
+        pytest.param(0, 10**400, id="0-10**400"),
+        pytest.param(-(10**400), 0, id="-10**400-0"),
+    ],
 )
 def test_partition_rejects_non_finite_range_and_span_overflow(lo, hi):
     # lo >= hi is false for NaN, and (-1e308, 1e308) used to give centers
-    # [nan, inf, 1e308].
+    # [nan, inf, 1e308]. An int too large for a float used to raise
+    # TypeError from np.isfinite.
     with pytest.raises(ValueError, match="invalid range"):
         Partition(lo, hi, 3, TRIANGULAR)
 
 
-@pytest.mark.parametrize("wf", [math.nan, math.inf])
+@pytest.mark.parametrize("wf", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
 def test_partition_rejects_non_finite_width_factor(wf):
+    # 10**400 used to pass the check and raise OverflowError in float().
     with pytest.raises(ValueError, match="invalid width factor"):
         Partition(0, 10, 3, GAUSSIAN, wf)
 
