@@ -1,6 +1,25 @@
 """Grid-partition fuzzy models learned from data, plus a deterministic
 noise-sensitivity benchmark around the plane z = x + y."""
 
+import os
+import sys
+
+# A fuzzgrid process computes for milliseconds, and OpenBLAS starting one
+# worker thread per CPU when numpy loads takes longer than that. So when
+# fuzzgrid is what loads numpy, and the user has chosen no thread count,
+# numpy loads with one OpenBLAS thread. OpenBLAS reads the variable only
+# when it loads, so it is removed again and child processes inherit the
+# user's environment. Any of these three variables (OpenBLAS's order of
+# precedence) overrides this.
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .datagen import (
     CLUSTERED,
     UNIFORM,

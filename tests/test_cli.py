@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
+import json
 import operator
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import fuzzgrid
 from fuzzgrid import GAUSSIAN, TRIANGULAR, DataSpec, Partition, load_model
 from fuzzgrid import make_plane_dataset, read_dataset
 from fuzzgrid import cli
@@ -491,6 +494,29 @@ def test_run_cells_medians_skip_all_gap_trials_for_the_surface_metrics_only(monk
         "median_rmse": None, "median_max_abs": None,
         "median_rule_changes": 3, "median_gap_fraction": 1.0,
     }
+
+
+@pytest.mark.parametrize("count", range(1, 13))
+def test_median_keeps_the_bits_of_statistics_median(count):
+    import random
+    import statistics
+
+    rng = random.Random(count)
+    for _ in range(50):
+        # Floats of mixed sign and scale, where (a + b) / 2 and a + (b - a) / 2
+        # differ in the last bit, and ints, as rule_changes gives.
+        if rng.random() < 0.5:
+            values = [rng.uniform(-1, 1) * 10 ** rng.randint(-3, 3) for _ in range(count)]
+        else:
+            values = [rng.randint(0, 100) for _ in range(count)]
+        with_gaps = list(values)
+        for _ in range(rng.randint(0, 4)):
+            with_gaps.insert(rng.randint(0, len(with_gaps)), None)
+        expected = statistics.median(values)
+        got = cli._median(with_gaps)
+        assert type(got) is type(expected)
+        assert got == expected
+    assert cli._median([None] * count) is None
 
 
 def test_summary_columns_are_pinned():
@@ -1103,3 +1129,65 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert "sweep" in proc.stdout
+
+
+# OpenBLAS's thread-count variables, in its order of precedence.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# A fresh interpreter that imports the modules argv[1] names (comma-separated,
+# in order) and prints its native thread count, the variables argv[2:] name,
+# whether its environment changed and whether numpy uses OpenBLAS.
+STARTUP_PROBE = """
+import importlib, json, os, sys
+before = dict(os.environ)
+for name in sys.argv[1].split(","):
+    importlib.import_module(name)
+threads = len(os.listdir("/proc/self/task"))
+import numpy
+blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+print(json.dumps({
+    "threads": threads,
+    "env": {k: os.environ.get(k) for k in sys.argv[2:]},
+    "unchanged": dict(os.environ) == before,
+    "openblas": "openblas" in blas.lower(),
+}))
+"""
+
+
+def startup_probe(imports, **variables):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(variables)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(fuzzgrid.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, imports, *THREAD_VARIABLES],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+@pytest.mark.parametrize(
+    "imports, variables, threads",
+    [
+        # fuzzgrid loads numpy and no count is set: one OpenBLAS thread, and
+        # the variable is gone again afterwards.
+        ("fuzzgrid", {}, 1),
+        # A count the user set wins, and fuzzgrid sets nothing of its own.
+        ("fuzzgrid", {"OPENBLAS_NUM_THREADS": "2"}, None),
+        ("fuzzgrid", {"OMP_NUM_THREADS": "2"}, None),
+        # numpy loaded first: fuzzgrid changes nothing.
+        ("numpy,fuzzgrid", {}, None),
+    ],
+)
+def test_fuzzgrid_loads_numpy_with_one_openblas_thread_unless_a_count_is_set(
+    imports, variables, threads
+):
+    got = startup_probe(imports, **variables)
+    assert got["unchanged"]
+    assert got["env"] == {k: variables.get(k) for k in THREAD_VARIABLES}
+    if got["openblas"]:
+        # None: as many threads as numpy alone starts under the same variables.
+        expected = startup_probe("numpy", **variables)["threads"] if threads is None else threads
+        assert got["threads"] == expected
