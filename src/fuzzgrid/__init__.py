@@ -1,62 +1,53 @@
 """Grid-partition fuzzy models learned from data, plus a deterministic
-noise-sensitivity benchmark around the plane z = x + y."""
+noise-sensitivity benchmark around the plane z = x + y.
 
-import os
-import sys
+The names below load from their submodules on first use, so importing the
+package alone loads no numpy. That leaves numpy's BLAS thread count to
+whoever loads it first: a program that uses the library, or the command
+line, which loads it with one thread (see fuzzgrid.cli).
+"""
 
-# A fuzzgrid process computes for milliseconds, and OpenBLAS starting one
-# worker thread per CPU when numpy loads takes longer than that. So when
-# fuzzgrid is what loads numpy, and the user has chosen no thread count,
-# numpy loads with one OpenBLAS thread. OpenBLAS reads the variable only
-# when it loads, so it is removed again and child processes inherit the
-# user's environment. Any of these three variables (OpenBLAS's order of
-# precedence) overrides this.
-if "numpy" not in sys.modules and not any(
-    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+import importlib as _importlib
 
-from .datagen import (
-    CLUSTERED,
-    UNIFORM,
-    DataSpec,
-    Dataset,
-    Rng,
-    make_plane_dataset,
-    read_dataset,
-    write_dataset,
-)
-from .evaluation import (
-    DiffReport,
-    difference_surface,
-    grid_axes,
-    model_error,
-    plane_truth,
-    write_diff_report,
-)
-from .inference import (
-    FuzzyModel,
-    infer,
-    load_model,
-    rule_diff,
-    save_model,
-)
-from .learning import (
-    NeuroFuzzyConfig,
-    cluster_learn,
-    neurofuzzy_learn,
-    wm_learn,
-)
-from .membership import (
-    GAUSSIAN,
-    TRIANGULAR,
-    Partition,
-    activations,
-)
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "datagen": (
+        "CLUSTERED",
+        "UNIFORM",
+        "DataSpec",
+        "Dataset",
+        "Rng",
+        "make_plane_dataset",
+        "read_dataset",
+        "write_dataset",
+    ),
+    "evaluation": (
+        "DiffReport",
+        "difference_surface",
+        "grid_axes",
+        "model_error",
+        "plane_truth",
+        "write_diff_report",
+    ),
+    "inference": ("FuzzyModel", "infer", "load_model", "rule_diff", "save_model"),
+    "learning": ("NeuroFuzzyConfig", "cluster_learn", "neurofuzzy_learn", "wm_learn"),
+    "membership": ("GAUSSIAN", "TRIANGULAR", "Partition", "activations"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
 
+
+def __getattr__(name):
+    # Looked up at every access and never stored here, so a name always is
+    # what its submodule holds now, also while a tool has rebound it there.
+    if name in _EXPORTS:
+        return _importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,8 +15,25 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import dataclass, fields, replace
+
+# A command computes for milliseconds, and OpenBLAS starting one worker
+# thread per CPU when numpy loads takes longer than that. So when the
+# command line is what loads numpy (importing the package alone does not),
+# and the user has chosen no thread count, numpy loads with one OpenBLAS
+# thread. OpenBLAS reads the variable only when it loads, so it is removed
+# again and child processes inherit the user's environment. Any of these
+# three variables (OpenBLAS's order of precedence) overrides this.
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 import numpy as np
 
@@ -274,14 +291,11 @@ def run_cells(cells, trials: int) -> list:
 
 
 def _median(values):
-    """The median of the values that are not None, or None if none is. An
-    even count takes (a + b) / 2 of the middle two, as statistics.median
-    does, whose import would cost every start."""
-    values = sorted(v for v in values if v is not None)
-    if not values:
-        return None
-    mid = len(values) // 2
-    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
+    """The median of the values that are not None, or None if none is."""
+    import statistics  # here, so that only a sweep pays for the import
+
+    values = [v for v in values if v is not None]
+    return statistics.median(values) if values else None
 
 
 def preset_cells(preset: str, base: ExperimentConfig, algo: str | None = None):

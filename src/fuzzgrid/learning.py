@@ -215,7 +215,7 @@ def _powering_pays(rows: int, cells: int, epochs: int) -> bool:
     epochs, where the path chosen was never 1.9 times slower than the other;
     at 4 to 289 cells, 30 to 3000 rows and 2 to 15 epochs it was more than
     1.3 times slower in 3 or 4 of 315 shapes, and at most 1.62 times.
-    The fit used two BLAS threads. On the one a fuzzgrid process loads
+    The fit used two BLAS threads. On the one the command line loads
     numpy with, the products at 900 cells and 10^4 rows take about 1.6
     times as long, and at 50, 400 and 1000 epochs the path chosen is still
     the faster one (1.5 s against 5.5 s, 5.2 against 8.5 s, 5.1 against

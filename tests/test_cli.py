@@ -496,29 +496,6 @@ def test_run_cells_medians_skip_all_gap_trials_for_the_surface_metrics_only(monk
     }
 
 
-@pytest.mark.parametrize("count", range(1, 13))
-def test_median_keeps_the_bits_of_statistics_median(count):
-    import random
-    import statistics
-
-    rng = random.Random(count)
-    for _ in range(50):
-        # Floats of mixed sign and scale, where (a + b) / 2 and a + (b - a) / 2
-        # differ in the last bit, and ints, as rule_changes gives.
-        if rng.random() < 0.5:
-            values = [rng.uniform(-1, 1) * 10 ** rng.randint(-3, 3) for _ in range(count)]
-        else:
-            values = [rng.randint(0, 100) for _ in range(count)]
-        with_gaps = list(values)
-        for _ in range(rng.randint(0, 4)):
-            with_gaps.insert(rng.randint(0, len(with_gaps)), None)
-        expected = statistics.median(values)
-        got = cli._median(with_gaps)
-        assert type(got) is type(expected)
-        assert got == expected
-    assert cli._median([None] * count) is None
-
-
 def test_summary_columns_are_pinned():
     assert SUMMARY_COLUMNS == (
         "preset", "algorithm", "input_sets", "output_sets", "noise", "n", "alpha", "epochs",
@@ -1135,7 +1112,7 @@ def test_module_invocation():
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # A fresh interpreter that imports the modules argv[1] names (comma-separated,
-# in order) and prints its native thread count, the variables argv[2:] name,
+# in order) and prints its native thread count, whether that loaded numpy,
 # whether its environment changed and whether numpy uses OpenBLAS.
 STARTUP_PROBE = """
 import importlib, json, os, sys
@@ -1143,11 +1120,12 @@ before = dict(os.environ)
 for name in sys.argv[1].split(","):
     importlib.import_module(name)
 threads = len(os.listdir("/proc/self/task"))
+loaded = "numpy" in sys.modules
 import numpy
 blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
 print(json.dumps({
     "threads": threads,
-    "env": {k: os.environ.get(k) for k in sys.argv[2:]},
+    "numpy_loaded": loaded,
     "unchanged": dict(os.environ) == before,
     "openblas": "openblas" in blas.lower(),
 }))
@@ -1161,7 +1139,7 @@ def startup_probe(imports, **variables):
         [str(Path(fuzzgrid.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE, imports, *THREAD_VARIABLES],
+        [sys.executable, "-c", STARTUP_PROBE, imports],
         capture_output=True, text=True, env=env, check=True,
     )
     return json.loads(proc.stdout)
@@ -1171,23 +1149,43 @@ def startup_probe(imports, **variables):
 @pytest.mark.parametrize(
     "imports, variables, threads",
     [
-        # fuzzgrid loads numpy and no count is set: one OpenBLAS thread, and
-        # the variable is gone again afterwards.
-        ("fuzzgrid", {}, 1),
-        # A count the user set wins, and fuzzgrid sets nothing of its own.
-        ("fuzzgrid", {"OPENBLAS_NUM_THREADS": "2"}, None),
-        ("fuzzgrid", {"OMP_NUM_THREADS": "2"}, None),
-        # numpy loaded first: fuzzgrid changes nothing.
-        ("numpy,fuzzgrid", {}, None),
+        # The command line loads numpy and no count is set: one OpenBLAS
+        # thread, and the variable is gone again afterwards.
+        ("fuzzgrid.cli", {}, 1),
+        # A count the user set wins, and is left as it was.
+        ("fuzzgrid.cli", {"OPENBLAS_NUM_THREADS": "2"}, None),
+        ("fuzzgrid.cli", {"OMP_NUM_THREADS": "2"}, None),
+        # numpy loaded first: the command line changes nothing.
+        ("numpy,fuzzgrid.cli", {}, None),
+        # The library, without the command line, loads numpy at its default.
+        ("fuzzgrid.membership", {}, None),
     ],
 )
-def test_fuzzgrid_loads_numpy_with_one_openblas_thread_unless_a_count_is_set(
+def test_the_command_line_loads_numpy_with_one_openblas_thread_unless_a_count_is_set(
     imports, variables, threads
 ):
     got = startup_probe(imports, **variables)
     assert got["unchanged"]
-    assert got["env"] == {k: variables.get(k) for k in THREAD_VARIABLES}
     if got["openblas"]:
         # None: as many threads as numpy alone starts under the same variables.
         expected = startup_probe("numpy", **variables)["threads"] if threads is None else threads
         assert got["threads"] == expected
+
+
+def test_importing_the_package_loads_no_numpy():
+    got = startup_probe("fuzzgrid")
+    assert not got["numpy_loaded"]
+    assert got["unchanged"]
+
+
+def test_the_package_names_resolve_to_their_submodules():
+    from fuzzgrid import datagen, learning, membership
+
+    assert fuzzgrid.make_plane_dataset is datagen.make_plane_dataset
+    assert fuzzgrid.learning is learning
+    assert {"Partition", "activations", "__version__"} <= set(dir(fuzzgrid))
+    for name in fuzzgrid.__all__:
+        assert getattr(fuzzgrid, name) is not None
+    with pytest.raises(AttributeError, match="no attribute 'membership_kind'"):
+        fuzzgrid.membership_kind
+    assert fuzzgrid.Partition is membership.Partition
