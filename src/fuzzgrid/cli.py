@@ -140,7 +140,10 @@ class ExperimentConfig:
 
     Making one, by the constructor or by dataclasses.replace, raises
     ValueError unless the cell can run. The tuning fields are checked for
-    every algorithm, though only neurofuzzy reads them.
+    every algorithm, though only neurofuzzy reads them. The partitions
+    and the NeuroFuzzyConfig built to check the cell are kept, for
+    build_partitions and tuning to return; ==, hash, repr, replace and
+    asdict see only the fields.
     """
 
     algorithm: str
@@ -163,10 +166,19 @@ class ExperimentConfig:
     def __post_init__(self):
         # The partitions go first, so a bad structure is reported before a
         # bad tuning field, as train reported it when only it checked them.
+        # A model grid over the cell limit is refused before any partition
+        # is built.
         _check_choice("algorithm", self.algorithm, ALGORITHMS)
-        build_partitions(self)
+        check_model_size([self.input_sets] * len(self.domain), self.output_sets)
+        kind = ALGO_KIND[self.algorithm]
+        inputs = tuple(
+            Partition(lo, hi, self.input_sets, kind, self.width_factor) for lo, hi in self.domain
+        )
+        output = Partition(self.out_lo, self.out_hi, self.output_sets, TRIANGULAR)
+        object.__setattr__(self, "_partitions", (inputs, output))
         _check_count("resolution", self.resolution, 2, MAX_RESOLUTION)
-        self.tuning()
+        tuning = NeuroFuzzyConfig(**{field: getattr(self, field) for field in _TUNING_FIELDS})
+        object.__setattr__(self, "_tuning", tuning)
         _data_spec(self, self.seed, self.noise_level)
 
     @property
@@ -175,33 +187,18 @@ class ExperimentConfig:
         return ((self.lo, self.hi),) * 2
 
     def tuning(self) -> NeuroFuzzyConfig:
-        """The neuro-fuzzy learner's settings; checked for every algorithm."""
-        return NeuroFuzzyConfig(**{field: getattr(self, field) for field in _TUNING_FIELDS})
+        """The neuro-fuzzy learner's settings, checked for every algorithm
+        when the cell was made."""
+        return self._tuning
 
 
 def build_partitions(cfg: ExperimentConfig):
-    """The input partitions (a tuple) and the output partition of cfg's model.
-
-    A grid or output partition over MAX_MODEL_CELLS, which load_model
-    would refuse, raises ValueError before any partition is built. The
-    partitions come from _partitions, so every model of one structure
-    shares the same Partition objects.
-    """
-    return _partitions(
-        ALGO_KIND[cfg.algorithm], cfg.input_sets, cfg.width_factor, cfg.domain,
-        cfg.output_sets, cfg.out_lo, cfg.out_hi,
-    )
-
-
-# Keyed by the fields that fix the partitions, never by identity. Eight
-# entries hold partition-sweep's eight structures (two kinds, four counts).
-# Typed, so a bool width factor or output bound, equal to 1, never takes a
-# number's entry and skips Partition's type check.
-@functools.lru_cache(maxsize=8, typed=True)
-def _partitions(kind, input_sets, width_factor, domain, output_sets, out_lo, out_hi):
-    check_model_size([input_sets] * len(domain), output_sets)
-    inputs = tuple(Partition(lo, hi, input_sets, kind, width_factor) for lo, hi in domain)
-    return inputs, Partition(out_lo, out_hi, output_sets, TRIANGULAR)
+    """The input partitions (a tuple) and the output partition of cfg's
+    model: the ones cfg built when it was made, so the clean and noisy
+    trainings of its pairs share the same Partition objects. Another cell
+    of equal structure holds equal partitions, and the degree and grid
+    caches, keyed by value, share one entry between them."""
+    return cfg._partitions
 
 
 def train_model(cfg: ExperimentConfig, data) -> FuzzyModel:
@@ -223,7 +220,8 @@ def run_pair(cfg: ExperimentConfig, seed: int):
     built, so consecutive calls at one seed and data recipe (n, domain,
     distribution, noise level) build them once. The cells of a preset
     share the recipe, apart from datasize's n and noise-levels' noise
-    level. The datasets are read-only and never leave this function.
+    level. The datasets never leave this function. Both models take the
+    partitions cfg built when it was made (build_partitions).
     """
     clean = train_model(cfg, _dataset(_data_spec(cfg, seed, 0.0)))
     noisy = train_model(cfg, _dataset(_data_spec(cfg, seed, cfg.noise_level)))
@@ -239,15 +237,11 @@ def run_pair(cfg: ExperimentConfig, seed: int):
 # the frozen spec, never by identity.
 @functools.lru_cache(maxsize=4)
 def _dataset(spec: DataSpec):
-    """make_plane_dataset(spec), with X and z read-only: every run_pair
-    call at this spec trains on the same arrays, so a learner that wrote
-    to them would change the next cell's data. Writing raises instead.
-    Read-only, the dataset also keeps the degree matrices its learners
-    read (Dataset.degrees), so the cells of a trial share them."""
-    data = make_plane_dataset(spec)
-    data.X.flags.writeable = False
-    data.z.flags.writeable = False
-    return data
+    """make_plane_dataset(spec), shared by every run_pair call at this
+    spec: the dataset is read-only, so no learner can change the next
+    cell's data, and it keeps the degree matrices its learners read
+    (Dataset.degrees), so the cells of a trial share them."""
+    return make_plane_dataset(spec)
 
 
 def _data_spec(cfg: ExperimentConfig, seed: int, noise_level: float) -> DataSpec:

@@ -5,7 +5,8 @@ with a documented draw order, so a (seed, spec) pair identifies a dataset
 byte for byte across platforms. Noise is multiplicative and uniform,
 each stored coordinate perturbed independently to v * (1 + u) with u in
 [-p, p]. Datasets are columnar (Dataset: an (N, d) input array and an
-(N,) output array), generated, validated, read and written whole.
+(N,) output array), generated, validated, read and written whole, and
+read-only once made.
 """
 
 from __future__ import annotations
@@ -90,21 +91,21 @@ Example = namedtuple("Example", "x z")
 class Dataset:
     """Examples as columns: inputs X of shape (N, d) and outputs z of shape (N,).
 
-    X is a C-contiguous float64 array, z a float64 array. The constructor
+    X is a C-contiguous float64 array, z a float64 array, both the
+    dataset's own copies and read-only, so writing to them raises
+    ValueError and the caller's arrays stay as they were. The constructor
     is the one place a dataset is validated: at least one example, shapes,
     and finiteness of every value. Iteration yields one Example(x, z)
     record per row, x a tuple of floats; there is no indexing. == compares
-    the arrays.
-    Instances are immutable by convention; nothing mutates them after
-    construction. The learners take each input's membership degrees from
-    degrees, which keeps them only while X is read-only.
+    the arrays. The learners take each input's membership degrees from
+    degrees, which keeps them for as long as the dataset lives.
     """
 
     __slots__ = ("X", "z", "_degrees")
 
     def __init__(self, X, z):
-        X = np.ascontiguousarray(X, dtype=float)
-        z = np.ascontiguousarray(z, dtype=float)
+        X = np.array(X, dtype=float, order="C")
+        z = np.array(z, dtype=float)
         if not (X.size or z.size):
             raise ValueError("empty dataset: there are no examples")
         if X.ndim != 2 or z.ndim != 1 or len(X) != len(z):
@@ -118,21 +119,14 @@ class Dataset:
                 "examples must contain finite values only "
                 f"(example {int(np.argmax(bad))} does not)"
             )
+        X.flags.writeable = z.flags.writeable = False
         self.X = X
         self.z = z
         self._degrees = {}
 
     def degrees(self, partition, k) -> np.ndarray:
-        """partition.degrees(self.X[:, k]), for reading only.
-
-        While X is read-only, as it is for the datasets that a sweep's
-        cells share, each matrix is computed once per partition (compared
-        by value) and column, and kept read-only. A writeable X computes
-        its degrees at every call, so an edit to X in place is never
-        answered with stale degrees.
-        """
-        if self.X.flags.writeable:
-            return partition.degrees(self.X[:, k])
+        """partition.degrees(self.X[:, k]), read-only: computed once per
+        partition (compared by value) and column, and kept."""
         key = partition, k
         if key not in self._degrees:
             deg = partition.degrees(self.X[:, k])

@@ -43,15 +43,16 @@ MAX_RESOLUTION = 4096
 # or all 8 partitions of partition-sweep, at one resolution.
 @functools.lru_cache(maxsize=8)
 def _evaluation(p: Partition, resolution: int):
-    """The resolution-point grid axis over p's range and its clamped
-    degree matrix, both read-only.
+    """The resolution-point grid axis over p's range and its degree
+    matrix, both read-only. Every point of the axis lies in [lo, hi], so
+    the matrix is that of the clamped axis, as FuzzyModel.outputs takes.
 
     Keyed by value, so equal partitions (the clean and noisy models', and
     both inputs of a square domain) share one entry. The cache keeps the
     last 8 entries, each (n + 1) * resolution 8-byte numbers for n sets.
     """
     axis = np.linspace(p.lo, p.hi, resolution)
-    mat = p.degrees(np.clip(axis, p.lo, p.hi))
+    mat = p.degrees(axis)
     axis.flags.writeable = mat.flags.writeable = False
     return axis, mat
 

@@ -52,9 +52,20 @@ def _check_data(data: Dataset, inputs) -> None:
 
 
 def _degrees(data: Dataset, inputs):
-    """Each input's degree matrix over data, unclamped and for reading
-    only: a read-only dataset keeps them (Dataset.degrees)."""
+    """Each input's degree matrix over data, unclamped and read-only: the
+    dataset keeps them (Dataset.degrees)."""
     return [data.degrees(p, k) for k, p in enumerate(inputs)]
+
+
+def _model(inputs, output, conclusions, filled, message, degrees=None) -> FuzzyModel:
+    """The FuzzyModel of a learner's conclusions, shaped to the grid of
+    inputs, whose filled cells are the flat indices or flat mask filled.
+    Raises ValueError(message) when a filled conclusion is not finite:
+    FuzzyModel would read a NaN conclusion as an empty cell."""
+    conclusions = conclusions.reshape(tuple(p.n for p in inputs))
+    if not np.isfinite(conclusions.ravel()[filled]).all():
+        raise ValueError(message)
+    return FuzzyModel(inputs, output, conclusions, degrees)
 
 
 def _check_kind(partitions, kind, what):
@@ -99,7 +110,7 @@ def wm_learn(data: Dataset, inputs, output: Partition) -> FuzzyModel:
     filled = np.flatnonzero(first < len(data))
     conclusions.flat[filled] = output.centers[output.best(data.z[first[filled]])]
     degrees.flat[filled] = top[filled]
-    return FuzzyModel(inputs, output, conclusions, degrees)
+    return _model(inputs, output, conclusions, filled, "a wm conclusion is not finite", degrees)
 
 
 def cluster_learn(data: Dataset, inputs, output: Partition) -> FuzzyModel:
@@ -117,8 +128,7 @@ def cluster_learn(data: Dataset, inputs, output: Partition) -> FuzzyModel:
     if len(kinds) != 1:
         raise ValueError("input partitions must all share one membership kind")
     # Targets near the float limit overflow the sums: to inf row by row, and
-    # to inf or NaN (inf - inf) in a matrix product. FuzzyModel would read a
-    # NaN conclusion as an empty cell, so the check below raises instead.
+    # to inf or NaN (inf - inf) in a matrix product; _model raises then.
     with np.errstate(over="ignore", invalid="ignore"):
         if GAUSSIAN in kinds:
             # The weights are products over the inputs, so the sums factor:
@@ -138,9 +148,8 @@ def cluster_learn(data: Dataset, inputs, output: Partition) -> FuzzyModel:
         conclusions = np.full(den.shape, np.nan)
         ok = den > EMPTY_WEIGHT_THRESHOLD
         conclusions[ok] = num[ok] / den[ok]
-    if not np.isfinite(conclusions[ok]).all():
-        raise ValueError("cluster conclusions must be finite: a weighted sum overflowed")
-    return FuzzyModel(inputs, output, conclusions.reshape(tuple(p.n for p in inputs)))
+    message = "cluster conclusions must be finite: a weighted sum overflowed"
+    return _model(inputs, output, conclusions, ok.ravel(), message)
 
 
 def neurofuzzy_learn(
@@ -172,15 +181,12 @@ def neurofuzzy_learn(
     c = conclusions.flat[flat_idx]
 
     weights, targets = _tuning_weights(data, inputs, flat_idx)
-    # Targets near the float limit can overflow the updates to inf and NaN,
-    # and FuzzyModel would read a NaN conclusion as an empty cell.
+    # Targets near the float limit can overflow the updates to inf and NaN;
+    # _model raises then.
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _sweep(weights, targets, c, cfg.alpha, cfg.epochs)
-    if not np.isfinite(c).all():
-        raise ValueError("neuro-fuzzy tuning overflowed: a tuned conclusion is not finite")
-
-    conclusions.flat[flat_idx] = c
-    return FuzzyModel(inputs, output, conclusions)
+        conclusions.flat[flat_idx] = _sweep(weights, targets, c, cfg.alpha, cfg.epochs)
+    message = "neuro-fuzzy tuning overflowed: a tuned conclusion is not finite"
+    return _model(inputs, output, conclusions, flat_idx, message)
 
 
 # Rows per block of _sweep. The block build costs O(rows * _BLOCK * cells)
@@ -373,8 +379,8 @@ def _tuning_weights(data: Dataset, inputs, flat_idx):
     every conclusion as it is (see _sweep), and the target 0. Returns a
     C-contiguous (len(data), len(flat_idx)) array and a (len(data),) one.
 
-    The weights start from the unclamped degrees of _degrees, which a
-    read-only dataset keeps from the cluster init, and only the rows of
+    The weights start from the unclamped degrees of _degrees, which the
+    dataset keeps from the cluster init, and only the rows of
     examples with an input out of range are rebuilt by activations on
     their clamped inputs. Row k of activations(X) is bit-identical to
     activations(X[k:k + 1]), so W is activations on the clamped inputs,

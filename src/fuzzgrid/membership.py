@@ -10,8 +10,8 @@ zero, which trades the partition-of-unity property for global support.
 Where inputs outside [lo, hi] are clamped into range, and where not:
 
 - Partition.degrees, activations and Dataset.degrees do not clamp.
-  The learners read every example's degrees from Dataset.degrees (kept
-  by a read-only dataset): cluster_learn's weights (their products, and
+  The learners read every example's degrees from Dataset.degrees (which
+  the dataset keeps): cluster_learn's weights (their products, and
   for gaussian sets the last input's degrees in a matrix product) and
   the wm_learn implication degree come straight from them, so an
   out-of-range example counts less than it would at the edge, and fades
@@ -20,8 +20,9 @@ Where inputs outside [lo, hi] are clamped into range, and where not:
   examples with an input out of range by activations on their clamped
   inputs, bit for bit activations on all the clamped inputs (row k of
   the degrees of x is those of x[k]). FuzzyModel.outputs clamps its axes, so
-  infer and the grid evaluations see clamped inputs too: an
-  out-of-range query resolves to the nearest edge region.
+  infer sees clamped inputs too: an out-of-range query resolves to the
+  nearest edge region. The grid evaluations need no clamp: their axes
+  (np.linspace over each partition's range) lie in range.
 - Partition.best clamps, so wm_learn's cell choice and the output-set
   quantization see clamped values. (wm_learn takes an in-range input's
   set from the argmax of its degrees, which clamping would not change,

@@ -417,11 +417,11 @@ def test_run_pair_builds_a_seeds_datasets_once(monkeypatch):
     cli.run_pair(cells[0], 6)
     cli.run_pair(dataclasses.replace(cells[0], n_examples=50), 6)
     assert [(spec.seed, spec.n) for spec in built[2:]] == [(6, 100)] * 2 + [(6, 50)] * 2
-    # The shared arrays are read-only; the public generator's stay writeable.
+    # The shared arrays are read-only, as every dataset's are.
     shared = cli._dataset(built[-1])
     assert len(built) == 6
     assert not shared.X.flags.writeable and not shared.z.flags.writeable
-    assert make(built[-1]).X.flags.writeable
+    assert not make(built[-1]).X.flags.writeable
 
 
 def test_a_seeds_learners_share_one_degree_matrix_per_partition_and_input(monkeypatch):
@@ -505,35 +505,44 @@ def test_summary_columns_are_pinned():
 
 
 def test_build_partitions_shares_one_structure_by_value(monkeypatch):
-    cli._partitions.cache_clear()
     built = []
     make = cli.Partition
     monkeypatch.setattr(cli, "Partition", lambda *args: built.append(args) or make(*args))
     cells = ladder_cells()
+    # Each cell, the base one too, builds two inputs and an output to check
+    # itself and keeps them: build_partitions builds none.
+    assert len(built) == 15
     first = [cli.build_partitions(cfg) for cfg in cells]
-    # simplified and cluster-tri share the triangular sets, cluster-gauss
-    # and neurofuzzy the gaussian ones: two inputs and an output each.
-    assert first[0] is first[1] and first[2] is first[3] and first[0] is not first[2]
-    assert len(built) == 6
+    assert [cli.build_partitions(cfg) for cfg in cells] == first and len(built) == 15
+    assert all(map(operator.is_, map(cli.build_partitions, cells), first))
     inputs, output = first[0]
     assert isinstance(inputs, tuple) and inputs[0] == inputs[1]
+    # simplified and cluster-tri have equal triangular sets, cluster-gauss
+    # and neurofuzzy equal gaussian ones: equal across cells, not the same.
+    assert first[0] == first[1] and first[2] == first[3] and first[0] != first[2]
+    assert first[0][1] is not first[1][1] and first[2][0][0] is not first[3][0][0]
     # A seed, alpha or resolution does not fix the partitions; a width
     # factor and an output range do.
     same = dataclasses.replace(cells[3], seed=9, alpha=0.5, resolution=7)
-    assert cli.build_partitions(same) is first[3]
+    assert cli.build_partitions(same) == first[3]
     assert cli.build_partitions(dataclasses.replace(cells[3], width_factor=0.3)) != first[3]
     assert cli.build_partitions(dataclasses.replace(cells[3], out_hi=30.0)) != first[3]
-    assert len(built) == 12
-    # A model's two trainings and the pair share them.
+    assert len(built) == 24
+    # A cell's two trainings and its pair share the cell's objects.
     clean, noisy, _ = cli.run_pair(cells[2], 0)
     assert clean.input_partitions == noisy.input_partitions == list(first[2][0])
-    assert all(map(operator.is_, clean.input_partitions, noisy.input_partitions))
+    assert all(map(operator.is_, clean.input_partitions, first[2][0]))
+    assert all(map(operator.is_, noisy.input_partitions, first[2][0]))
     assert clean.output_partition is noisy.output_partition is first[2][1]
-    # A cell over the cell limit raises whenever it is made, never cached.
-    for _ in range(2):
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            dataclasses.replace(cells[0], input_sets=4000)
-    assert len(built) == 12
+    # A cell over the cell limit raises before it builds a partition.
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        dataclasses.replace(cells[0], input_sets=4000)
+    assert len(built) == 24
+    # The kept objects are no fields: ==, hash and repr ignore them.
+    twin = dataclasses.replace(cells[0])
+    assert twin == cells[0] and hash(twin) == hash(cells[0]) and repr(twin) == repr(cells[0])
+    assert cli.build_partitions(twin) is not first[0]
+    assert twin.tuning() is twin.tuning() == cells[3].tuning()
 
 
 # Each field value that makes a cell unable to run, with what it raises.
@@ -567,6 +576,7 @@ BAD_CELLS = [
     ({"width_factor": True}, "width factor must be a real number, got True"),
     ({"lo": "1"}, "range bound must be a real number, got '1'"),
     ({"lo": True}, "range bound must be a real number, got True"),
+    ({"out_lo": True}, "range bound must be a real number, got True"),
     ({"out_hi": "22"}, "range bound must be a real number, got '22'"),
 ]
 
@@ -583,15 +593,6 @@ def test_a_cell_that_cannot_run_is_refused_when_it_is_made(bad, message):
     assert str(replaced.value) == str(made.value)
 
 
-@pytest.mark.parametrize("field", ["width_factor", "out_lo"])
-def test_a_bool_never_takes_the_cached_partitions_of_its_number(field):
-    # True equals 1.0 and hashes alike, so an untyped partition cache let it
-    # through once the partitions of 1.0 were built.
-    ExperimentConfig(cli.SIMPLIFIED, **{field: 1.0})
-    with pytest.raises(ValueError, match="must be a real number, got True$"):
-        ExperimentConfig(cli.SIMPLIFIED, **{field: True})
-
-
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -599,9 +600,8 @@ def test_sweep_refuses_models_over_the_cell_limit(capsys, tmp_path, monkeypatch)
     # A cell whose model grid is over the limit fails before it builds a partition.
     out_path = tmp_path / "s.csv"
     built = []
-    # the sweep's base cell is checked too, which builds its own partitions
-    cli.build_partitions(ExperimentConfig(cli.SIMPLIFIED))
-    monkeypatch.setattr(cli, "Partition", lambda *args: built.append(args))
+    make = cli.Partition
+    monkeypatch.setattr(cli, "Partition", lambda *args: built.append(args) or make(*args))
     monkeypatch.setitem(
         cli.PRESETS, "noise-levels", [{"algorithm": "cluster-tri", "input_sets": 4000}]
     )
@@ -609,7 +609,8 @@ def test_sweep_refuses_models_over_the_cell_limit(capsys, tmp_path, monkeypatch)
     assert code == 1
     assert "a model of 4000 x 4000 input sets and 13 output sets exceeds the limit" in err
     assert not out_path.exists()
-    assert built == []
+    # Only the sweep's base cell, which is checked too, built its partitions.
+    assert [args[2] for args in built] == [9, 9, 13]
 
 
 def test_sweep_refuses_a_bad_cell_before_any_trial(capsys, monkeypatch):

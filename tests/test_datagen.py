@@ -203,20 +203,30 @@ def test_dataset_is_columnar_and_list_like():
     assert Dataset([ex.x for ex in records], [ex.z for ex in records]) == data
 
 
-def test_only_a_read_only_dataset_keeps_its_degrees():
-    data = make_plane_dataset(DataSpec(n=20, noise_level=0.1, seed=4))
+def test_every_dataset_is_read_only_and_keeps_its_degrees(tmp_path):
+    made = make_plane_dataset(DataSpec(n=20, noise_level=0.1, seed=4))
+    write_dataset(tmp_path / "d.csv", made)
+    X, z = made.X.copy(), made.z.copy()
+    built = Dataset(X, z)
+    # Generated, read and constructed: X and z are read-only, and writing
+    # raises. The constructor copies, so the caller's arrays stay writeable.
+    for data in (made, read_dataset(tmp_path / "d.csv"), built):
+        assert data == made
+        for array in (data.X, data.z):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+    assert X.flags.writeable and z.flags.writeable
+    assert not np.shares_memory(built.X, X) and not np.shares_memory(built.z, z)
+    X[0, 0] = z[0] = 0.0
+    assert built == made
+    # Degrees: computed once per partition value and column, read-only.
     p = Partition(1, 11, 9, TRIANGULAR)
-    # Writeable: computed at every call, row by row as Partition.degrees.
-    first = data.degrees(p, 1)
-    assert np.array_equal(first, p.degrees(data.X[:, 1]))
-    assert data.degrees(p, 1) is not first
-    # Read-only: computed once per partition value and column, read-only.
-    data.X.flags.writeable = False
-    kept = data.degrees(p, 1)
-    assert data.degrees(Partition(1, 11, 9, TRIANGULAR), 1) is kept
-    assert np.array_equal(kept, first) and not kept.flags.writeable
-    assert data.degrees(p, 0) is not kept
-    assert np.array_equal(data.degrees(p, 0), p.degrees(data.X[:, 0]))
+    kept = built.degrees(p, 1)
+    assert built.degrees(Partition(1, 11, 9, TRIANGULAR), 1) is kept
+    assert np.array_equal(kept, p.degrees(built.X[:, 1])) and not kept.flags.writeable
+    assert built.degrees(p, 0) is not kept
+    assert np.array_equal(built.degrees(p, 0), p.degrees(built.X[:, 0]))
 
 
 def test_dataset_validates_once_at_construction(tmp_path):

@@ -470,12 +470,6 @@ def test_tuning_weights_match_per_example_reference():
         (Dataset(outside, outside.sum(axis=1)), wide, 32),
     ]
     assert all(((x < 1) | (x > 11)).all() for x in outside.T)
-    # A read-only copy of each: the cluster init keeps its degrees, and the
-    # weights take the clamped ones from them.
-    for data, inputs, cells in list(cases):
-        copy = Dataset(data.X.copy(), data.z.copy())
-        copy.X.flags.writeable = copy.z.flags.writeable = False
-        cases.append((copy, inputs, cells))
     for data, inputs, cells in cases:
         filled = cluster_learn(data, inputs, out).filled_mask()
         flat_idx = np.flatnonzero(filled.ravel())
@@ -891,57 +885,39 @@ def test_cluster_fit_improves_with_more_data():
 
 
 def test_learners_take_read_only_data():
-    # Sweep cells share one seed's datasets, whose arrays are read-only.
-    # Every learner must train on them as on writeable arrays, to the bit.
-    # The domain reaches past the sets, so wm_learn's fallback to best and
-    # the neuro-fuzzy clamp run too; 1 and 50 epochs take both paths of
-    # _sweep.
+    # Every dataset is read-only and keeps its degrees, and every learner
+    # trains on it as the oracles do. The domain reaches past the sets, so
+    # wm_learn's fallback to best and the neuro-fuzzy clamp run too; 1 and
+    # 50 epochs take both paths of _sweep.
     spec = DataSpec(n=100, domain=((0.0, 12.0),) * 2, noise_level=0.1, seed=2)
-    writeable = make_plane_dataset(spec)
-    frozen = make_plane_dataset(spec)
-    frozen.X.flags.writeable = frozen.z.flags.writeable = False
+    data = make_plane_dataset(spec)
     tri = [Partition(1, 11, 9, TRIANGULAR)] * 2
     gauss = [Partition(1, 11, 9, GAUSSIAN)] * 2
     out = Partition(2, 22, 13, TRIANGULAR)
-    assert [_powering_pays(len(writeable), 81, e) for e in (1, 50)] == [False, True]
-    learners = [
-        lambda data: wm_learn(data, tri, out),
-        lambda data: cluster_learn(data, tri, out),
-        lambda data: cluster_learn(data, gauss, out),
-    ] + [
-        lambda data, cfg=NeuroFuzzyConfig(epochs=epochs, init=init): neurofuzzy_learn(
-            data, gauss, out, cfg
+    assert ((data.X < 1) | (data.X > 11)).any(axis=1).sum() > 10
+    assert [_powering_pays(len(data), 81, e) for e in (1, 50)] == [False, True]
+    m = wm_learn(data, tri, out)
+    conclusions, degrees = wm_grid(data, tri, out)
+    assert np.array_equal(m.conclusions, conclusions, equal_nan=True)
+    assert np.array_equal(m.degrees, degrees, equal_nan=True)
+    for inputs in (tri, gauss):
+        got = cluster_learn(data, inputs, out).conclusions
+        ref = cluster_grid(data, inputs, out)
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12, equal_nan=True)
+    for init in INITS:
+        start = (
+            cluster_learn(data, gauss, out).conclusions
+            if init == "cluster" else np.full((9, 9), 12.0)
         )
-        for init in INITS
-        for epochs in (1, 50)
-    ]
-    for learn in learners:
-        a, b = learn(frozen), learn(writeable)
-        assert a.conclusions.tobytes() == b.conclusions.tobytes()
-        assert a.degrees.tobytes() == b.degrees.tobytes()
-    assert frozen == writeable
-
-
-def test_a_writeable_dataset_edited_in_place_trains_on_its_new_values():
-    # Only a read-only dataset keeps its degrees, so every learner trains
-    # on a writeable one as it is now, not as it was at the last training.
-    spec = DataSpec(n=100, noise_level=0.1, seed=6)
-    tri = [Partition(1, 11, 9, TRIANGULAR)] * 2
-    gauss = [Partition(1, 11, 9, GAUSSIAN)] * 2
-    out = Partition(2, 22, 13, TRIANGULAR)
-    learners = [
-        lambda data: wm_learn(data, tri, out),
-        lambda data: cluster_learn(data, tri, out),
-        lambda data: cluster_learn(data, gauss, out),
-    ] + [
-        lambda data, init=init: neurofuzzy_learn(data, gauss, out, NeuroFuzzyConfig(init=init))
-        for init in INITS
-    ]
-    for learn in learners:
-        data = make_plane_dataset(spec)
-        before = learn(data)
-        data.X[:] = data.X[::-1].copy()
-        after = learn(data)
-        fresh = learn(Dataset(data.X.copy(), data.z))
-        assert after.conclusions.tobytes() == fresh.conclusions.tobytes()
-        assert after.conclusions.tobytes() != before.conclusions.tobytes()
+        flat_idx = np.flatnonzero(~np.isnan(start).ravel())
+        weights, targets = tuning_weights(data, gauss, flat_idx)
+        for epochs in (1, 50):
+            cfg = NeuroFuzzyConfig(epochs=epochs, init=init)
+            got = neurofuzzy_learn(data, gauss, out, cfg).conclusions
+            ref = neurofuzzy_conclusions(weights, targets, start.flat[flat_idx], cfg.alpha, epochs)
+            assert np.array_equal(np.isnan(got), np.isnan(start))
+            assert_matches_loop(got.flat[flat_idx], ref)
+    # An edit in place raises, so no learner reads degrees kept for other values.
+    for array in (data.X, data.z):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = array[::-1].copy()
