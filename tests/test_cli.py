@@ -593,6 +593,15 @@ def test_a_cell_that_cannot_run_is_refused_when_it_is_made(bad, message):
     assert str(replaced.value) == str(made.value)
 
 
+@pytest.mark.parametrize("field", ["width_factor"])
+def test_a_bool_never_takes_the_cached_partitions_of_its_number(field):
+    # True equals 1.0 and hashes alike, so a cell of True must be refused
+    # even after a cell of 1.0 built and kept its partitions.
+    ExperimentConfig(cli.SIMPLIFIED, **{field: 1.0})
+    with pytest.raises(ValueError, match="must be a real number, got True$"):
+        ExperimentConfig(cli.SIMPLIFIED, **{field: True})
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

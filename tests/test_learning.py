@@ -921,3 +921,34 @@ def test_learners_take_read_only_data():
     for array in (data.X, data.z):
         with pytest.raises(ValueError, match="read-only"):
             array[:] = array[::-1].copy()
+
+
+def test_a_writeable_dataset_edited_in_place_trains_on_its_new_values():
+    # A dataset copies the caller's arrays, which stay writeable. Editing
+    # them in place leaves the dataset and the degrees it keeps as they
+    # were; a dataset made from the edited arrays trains on the new values.
+    spec = DataSpec(n=100, noise_level=0.1, seed=6)
+    tri = [Partition(1, 11, 9, TRIANGULAR)] * 2
+    gauss = [Partition(1, 11, 9, GAUSSIAN)] * 2
+    out = Partition(2, 22, 13, TRIANGULAR)
+    learners = [
+        lambda data: wm_learn(data, tri, out),
+        lambda data: cluster_learn(data, tri, out),
+        lambda data: cluster_learn(data, gauss, out),
+    ] + [
+        lambda data, init=init: neurofuzzy_learn(data, gauss, out, NeuroFuzzyConfig(init=init))
+        for init in INITS
+    ]
+    for learn in learners:
+        made = make_plane_dataset(spec)
+        X, z = made.X.copy(), made.z.copy()
+        data = Dataset(X, z)
+        before = learn(data)
+        assert X.flags.writeable and z.flags.writeable
+        X[:] = X[::-1].copy()
+        assert data == made
+        assert learn(data).conclusions.tobytes() == before.conclusions.tobytes()
+        after = learn(Dataset(X, z))
+        fresh = learn(Dataset(X.copy(), z.copy()))
+        assert after.conclusions.tobytes() == fresh.conclusions.tobytes()
+        assert after.conclusions.tobytes() != before.conclusions.tobytes()
